@@ -18,7 +18,7 @@ Everything exact uses fractions.Fraction; numerical zeta-function series
 are evaluated with mpmath at an explicit decimal precision.
 """
 
-from seifinv.numkernel import frac, sawtooth, psi2, hurwitz_zeta, riemann_zeta
+from seifinv.numkernel import InvariantError, frac, sawtooth, psi2, hurwitz_zeta, riemann_zeta
 from seifinv.dedekind import dr_sum_direct, dr_sum_fast, reciprocity_R
 from seifinv.orbifold import Orbifold, VLineBundle
 from seifinv.seifert import SeifertData, brieskorn
@@ -27,6 +27,7 @@ from seifinv.swfloer import poincare_polynomial, froyshov_Z
 from seifinv.lattice import plumbing_form, theta_invariant
 
 __all__ = [
+    "InvariantError",
     "frac",
     "sawtooth",
     "psi2",

@@ -10,9 +10,11 @@ Subcommands:
     table      batch rows (F, 8m, Z, P) over triples or a one-parameter family
     verify     self-check suites; nonzero exit on the first exact mismatch
 
-Exit codes: 0 ok, 1 verification mismatch, 2 usage error.  Rationals are
-printed as "p/q" (or "p" for integers) everywhere, so JSON output
-round-trips losslessly.
+Exit codes: 0 ok, 1 verification mismatch (a failed verify suite, or an
+``InvariantError`` from a production invariant check), 2 usage error
+(including triples whose weight box exceeds ``swfloer.MAX_BOX_POINTS``).
+Rationals are printed as "p/q" (or "p" for integers) everywhere, so JSON
+output round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from seifinv import dedekind as ded
 from seifinv import eta as eta_mod
 from seifinv import lattice as lat
 from seifinv import swfloer as swf
+from seifinv.numkernel import InvariantError
 from seifinv.orbifold import Orbifold, VLineBundle, trivial_bundle
 from seifinv.seifert import SeifertData, brieskorn, is_homology_sphere
 
@@ -132,7 +135,10 @@ class ReportRow:
     P: swf.LaurentPolynomial
 
     def __post_init__(self):
-        assert self.Z == self.eight_m + self.F, "row inconsistent: Z != 8m + F"
+        if self.Z != self.eight_m + self.F:
+            raise InvariantError(
+                f"row {self.triple} inconsistent: Z = {self.Z} != 8m + F = {self.eight_m + self.F}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,35 +292,29 @@ def _cmd_eta(args, parser) -> int:
 def _cmd_swf(args, parser) -> int:
     a, b, c = _parse_triple(args.brieskorn, parser)
     try:
-        delta = swf.enumerate_delta(a, b, c)
+        graded = swf.graded_delta(a, b, c)
     except ValueError as exc:
         parser.error(f"--brieskorn {args.brieskorn!r}: {exc}")
-    P = swf.poincare_polynomial(a, b, c)
+    P = swf.LaurentPolynomial.from_exponents(n for _, n in graded)
     if args.latex:
         print(f"\\Sigma({a},{b},{c})        & P ={P.latex()}")
         return 0
+    rows = zip(graded, swf.energies([p for p, _ in graded], a, b, c))
     if args.json:
         payload = {
             "triple": [a, b, c],
             "delta": [
-                {
-                    "point": list(p.as_tuple()),
-                    "energy": _fmt(swf.energy(p, a, b, c)),
-                    "n_plus": swf.grading_plus(p, a, b, c),
-                }
-                for p in delta
+                {"point": list(p.as_tuple()), "energy": _fmt(e), "n_plus": n}
+                for (p, n), e in rows
             ],
             "P": P.to_json(),
             "m": swf.gap_m(P),
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"Sigma({a},{b},{c}): |Delta| = {len(delta)}")
-    for p in delta:
-        print(
-            f"  {p.as_tuple()}: n_+ = {swf.grading_plus(p, a, b, c)}, "
-            f"E = {_fmt(swf.energy(p, a, b, c))}"
-        )
+    print(f"Sigma({a},{b},{c}): |Delta| = {len(graded)}")
+    for (p, n), e in rows:
+        print(f"  {p.as_tuple()}: n_+ = {n}, E = {_fmt(e)}")
     print(f"P = {P}")
     return 0
 
@@ -439,16 +439,19 @@ def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
         gammas = tuple(rng.randrange(a) for a in N.alphas)
         L = VLineBundle(N.base, rng.randint(-2, 2), gammas)
         ctx = eta_mod.pullback_context(N, L)
-        eta0 = eta_mod.eta_zero_pullback(ctx)  # internal double-route assert
+        eta0 = eta_mod.eta_zero_pullback(ctx)
+        if eta0 != eta_mod.eta_zero_pullback_direct(ctx):
+            return f"case {i}: Dedekind and corner-sum eta(0) differ on {N} with gammas {gammas}"
         dual = eta_mod.eta_zero_pullback(eta_mod.serre_dual_coupling(ctx))
         if eta0 != dual:
             return f"case {i}: Serre symmetry fails on {N} with gammas {gammas}"
         flat = eta_mod.flat_context(N, L)
-        eta_mod.eta_zero_flat(flat)  # internal double-route assert
+        exact = eta_mod.eta_zero_flat(flat)
+        if exact != eta_mod.eta_zero_flat_direct(flat):
+            return f"case {i}: Dedekind and closed-form flat eta(0) differ on {N} with {L}"
         if i < 5:
             from mpmath import mp
 
-            exact = eta_mod.eta_zero_flat(flat)
             series = eta_mod.eta_series(flat, 0, 30)
             with mp.workdps(45):
                 drift = abs(series.value - mp.mpf(exact.numerator) / exact.denominator)
@@ -457,7 +460,8 @@ def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
     return None
 
 
-_TABLE_EXPECTED = {
+#: The paper's (F, 8m, Z) table, keyed by Brieskorn triple.
+PAPER_TABLE = {
     (2, 3, 5): (8, 0, 8),
     (2, 3, 7): (-8, 8, 0),
     (2, 3, 11): (0, 8, 8),
@@ -471,7 +475,7 @@ _TABLE_EXPECTED = {
 
 
 def _verify_froyshov_table(*_args) -> Optional[str]:
-    for triple, (f_exp, m_exp, z_exp) in _TABLE_EXPECTED.items():
+    for triple, (f_exp, m_exp, z_exp) in PAPER_TABLE.items():
         row = compute_row(*triple)
         if (row.F, row.eight_m, row.Z) != (f_exp, m_exp, z_exp):
             return (
@@ -568,7 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seifert", help="g:b:a1/b1,a2/b2,...")
     p.add_argument("--gammas", help="coupling weights g1,g2,...")
     p.add_argument("--rho", help="expected fiber holonomy (validated)")
-    p.add_argument("--at", help="also evaluate the eta series at this s")
+    p.add_argument(
+        "--at",
+        help="also evaluate the eta series at this s; write a negative s as --at=-11/2",
+    )
     p.add_argument("--digits", type=int, default=30)
     p.set_defaults(func=_cmd_eta)
 
@@ -616,7 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except InvariantError as exc:
+        print(f"seifinv: invariant check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,8 +34,11 @@ with value at 0
            = (deg K - deg|K|)/2 (1 - 2 rho) - ell rho (1 - rho) + ell/6
              + m rho - 2 S_rho - sum_i F_rho(alpha_i, beta_i, gamma_i).
 
-Every eta(0) is computed along two independent reductions and the results
-are asserted equal.
+Production evaluates eta(0) along one route only, the Dedekind forms
+above, in O(sum log alpha_i) through ``dedekind.dr_sum_fast``.  The
+O(alpha) corner-sum and closed forms are kept as the oracles
+``eta_zero_pullback_direct`` and ``eta_zero_flat_direct``; they are run by
+``seifinv verify eta-consistency`` and the tests, never by production.
 
 On a homology sphere the adiabatic invariant of the unique spin structure
 feeds the metric-independent quantity
@@ -55,6 +58,7 @@ from fractions import Fraction
 from seifinv import dedekind
 from seifinv.numkernel import (
     BigFloat,
+    InvariantError,
     Rational,
     hurwitz_zeta,
     periodic_dirichlet_split,
@@ -113,7 +117,8 @@ def flat_context(N: SeifertData, class_rep: VLineBundle) -> EtaContext:
     ``class_rep`` mod Z L0: the canonical representative plus its rho."""
     rep, _, rho = canonical_representative(class_rep, defining_bundle(N))
     ctx = EtaContext(N, rep, rho)
-    assert ctx.is_canonical_flat
+    if not ctx.is_canonical_flat:
+        raise InvariantError(f"canonical representative of {class_rep} has the wrong rho")
     return ctx
 
 
@@ -124,35 +129,74 @@ def trivial_flat_context(N: SeifertData) -> EtaContext:
 
 
 def eta_zero_pullback(ctx: EtaContext) -> Fraction:
-    """eta(0) for a pullback coupling, via both reductions.
-
-    The corner-sum form ell/6 - sum(S_i^+ - S_i^-) and the Dedekind form
-    ell/6 - 2S - d are computed independently and asserted equal.
-    """
+    """eta(0) for a pullback coupling: ell/6 - 2S - d."""
     N = ctx.fibration
-    alphas, betas = N.alphas, N.betas
     gammas = ctx.coupling.gammas
-    ell = N.ell
-
-    via_corners = ell / 6
-    for a, b, g in zip(alphas, betas, gammas):
-        via_corners -= dedekind.corner_sum(a, b, g, +1) - dedekind.corner_sum(a, b, g, -1)
-
-    via_dedekind = (
-        ell / 6
-        - 2 * dedekind.S_composite(alphas, betas, gammas)
-        - dedekind.d_composite(alphas, betas, gammas)
+    return (
+        N.ell / 6
+        - 2 * dedekind.S_composite(N.alphas, N.betas, gammas)
+        - dedekind.d_composite(N.alphas, N.betas, gammas)
     )
-    assert via_corners == via_dedekind, "corner and Dedekind reductions disagree"
-    return via_dedekind
 
 
-def _flat_double_sum(alphas, betas, gammas, rho: Fraction) -> Fraction:
-    """sum_i sum_{k=0}^{alpha_i-1} {(gamma_i - k beta_i)/alpha_i}
-    (1 - 2 {(k + rho)/alpha_i}), by integer accumulation."""
-    pr, qr = rho.numerator, rho.denominator
-    total = Fraction(0)
-    for a, b, g in zip(alphas, betas, gammas):
+def eta_zero_pullback_direct(ctx: EtaContext) -> Fraction:
+    """Oracle for ``eta_zero_pullback``: the corner-sum form
+    ell/6 - sum_i (S_i^+ - S_i^-), in O(sum alpha_i)."""
+    N = ctx.fibration
+    total = N.ell / 6
+    for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
+        total -= dedekind.corner_sum(a, b, g, +1) - dedekind.corner_sum(a, b, g, -1)
+    return total
+
+
+def _flat_head(ctx: EtaContext) -> Fraction:
+    """(deg K - deg|K|)/2 (1 - 2 rho) - ell rho (1 - rho) + ell/6, the
+    part of the flat eta(0) shared by both of its forms."""
+    N, rho = ctx.fibration, ctx.rho
+    deg_k = rational_degree(canonical_bundle(N.base))
+    smooth_k = 2 * N.base.genus - 2
+    return Fraction(deg_k - smooth_k, 2) * (1 - 2 * rho) - N.ell * rho * (1 - rho) + N.ell / 6
+
+
+def _require_canonical_flat(ctx: EtaContext) -> None:
+    if not ctx.is_canonical_flat:
+        raise ValueError("flat eta requires the canonical representative context")
+
+
+def eta_zero_flat(ctx: EtaContext) -> Fraction:
+    """eta(0) for the determinant-flat connection of the context's class.
+
+    rho = 0 delegates to the pullback formula; for rho in (0, 1) it is
+    head + m rho - 2 S_rho - sum_i F_rho(alpha_i, beta_i, gamma_i).
+    """
+    _require_canonical_flat(ctx)
+    if ctx.rho == 0:
+        return eta_zero_pullback(ctx)
+    N, rho = ctx.fibration, ctx.rho
+    alphas, betas, gammas = N.alphas, N.betas, ctx.coupling.gammas
+    return (
+        _flat_head(ctx)
+        + len(alphas) * rho
+        - 2 * dedekind.S_rho(alphas, betas, gammas, rho)
+        - dedekind.F_rho_total(alphas, betas, gammas, rho)
+    )
+
+
+def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
+    """Oracle for ``eta_zero_flat``: for rho in (0, 1) the closed form
+
+        head - sum_i sum_{k=0}^{alpha_i-1} {(gamma_i - k beta_i)/alpha_i}
+                                           (1 - 2 {(k + rho)/alpha_i}),
+
+    by integer accumulation in O(sum alpha_i); for rho = 0 the
+    corner-sum oracle."""
+    _require_canonical_flat(ctx)
+    if ctx.rho == 0:
+        return eta_zero_pullback_direct(ctx)
+    N = ctx.fibration
+    pr, qr = ctx.rho.numerator, ctx.rho.denominator
+    total = _flat_head(ctx)
+    for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
         d = qr * a
         acc = 0
         for k in range(a):
@@ -161,41 +205,8 @@ def _flat_double_sum(alphas, betas, gammas, rho: Fraction) -> Fraction:
                 continue
             m2 = (k * qr + pr) % d
             acc += m1 * (d - 2 * m2)
-        total += Fraction(acc, a * d)
+        total -= Fraction(acc, a * d)
     return total
-
-
-def eta_zero_flat(ctx: EtaContext) -> Fraction:
-    """eta(0) for the determinant-flat connection of the context's class.
-
-    rho = 0 delegates to the pullback formula; for rho in (0, 1) the
-    closed form and its Dedekind-Rademacher rewriting are evaluated
-    independently and asserted equal.
-    """
-    if not ctx.is_canonical_flat:
-        raise ValueError("flat eta requires the canonical representative context")
-    if ctx.rho == 0:
-        return eta_zero_pullback(ctx)
-
-    N = ctx.fibration
-    alphas, betas = N.alphas, N.betas
-    gammas = ctx.coupling.gammas
-    ell, rho = N.ell, ctx.rho
-    m = len(alphas)
-
-    deg_k = rational_degree(canonical_bundle(N.base))
-    smooth_k = 2 * N.base.genus - 2
-    head = Fraction(deg_k - smooth_k, 2) * (1 - 2 * rho) - ell * rho * (1 - rho) + ell / 6
-
-    closed = head - _flat_double_sum(alphas, betas, gammas, rho)
-
-    via_dedekind = head + m * rho
-    if m:
-        via_dedekind -= 2 * dedekind.S_rho(alphas, betas, gammas, rho)
-        via_dedekind -= dedekind.F_rho_total(alphas, betas, gammas, rho)
-
-    assert closed == via_dedekind, "flat eta reductions disagree"
-    return closed
 
 
 def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:

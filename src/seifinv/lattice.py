@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+from seifinv.numkernel import InvariantError
 from seifinv.seifert import brieskorn
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -141,8 +142,10 @@ def plumbing_form(a: int, b: int, c: int) -> IntegerQuadraticForm:
     """Intersection form of the Hirzebruch-Jung plumbing; negative
     definite and unimodular."""
     q = plumbing_graph(a, b, c).intersection_form()
-    assert q.is_negative_definite(), f"plumbing form of ({a},{b},{c}) not negative definite"
-    assert q.is_unimodular(), f"plumbing form of ({a},{b},{c}) not unimodular"
+    if not q.is_negative_definite():
+        raise InvariantError(f"plumbing form of ({a},{b},{c}) not negative definite")
+    if not q.is_unimodular():
+        raise InvariantError(f"plumbing form of ({a},{b},{c}) not unimodular")
     return q
 
 
@@ -371,11 +374,15 @@ def theta_invariant(q: IntegerQuadraticForm) -> int:
         sum(minus[i][j] * parity[i] * parity[j] for i in range(n) for j in range(n))
     )
     norm, _ = _min_norm_search(d, u, parity, start)
-    assert norm is not None and norm.denominator == 1
+    if norm is None or norm.denominator != 1:
+        raise InvariantError(f"characteristic minimum {norm} is not an integer")
     theta = n - int(norm)
-    assert theta % 8 == 0, "Theta must be divisible by 8"
-    assert 0 <= theta <= n, "Theta must lie in [0, rk]"
-    assert (theta == n) == is_even(q), "Theta = rk exactly for even forms"
+    if theta % 8 != 0:
+        raise InvariantError(f"Theta = {theta} must be divisible by 8")
+    if not 0 <= theta <= n:
+        raise InvariantError(f"Theta = {theta} must lie in [0, {n}]")
+    if (theta == n) != is_even(q):
+        raise InvariantError(f"Theta = {theta} must equal rk = {n} exactly for even forms")
     return theta
 
 
@@ -405,7 +412,8 @@ def _kernel_basis_of_functional(c: List[int]) -> List[List[int]]:
         work[j0] -= f * work[i0]
         cols[j0] = [a - f * b for a, b in zip(cols[j0], cols[i0])]
     pivot = next(j for j in range(n) if work[j] != 0)
-    assert abs(work[pivot]) == 1, "covector must be primitive"
+    if abs(work[pivot]) != 1:
+        raise InvariantError(f"covector {c} must be primitive")
     return [cols[j] for j in range(n) if j != pivot]
 
 
@@ -423,7 +431,8 @@ def _orthogonal_complement(q: IntegerQuadraticForm, v: List[int]) -> IntegerQuad
         for bi in basis
     ]
     out = IntegerQuadraticForm(_freeze(g))
-    assert out.is_unimodular(), "complement of a unimodular vector must be unimodular"
+    if not out.is_unimodular():
+        raise InvariantError("complement of a unimodular vector must be unimodular")
     return out
 
 

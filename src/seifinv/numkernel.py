@@ -44,6 +44,14 @@ from mpmath import mp
 
 Rational = Union[int, Fraction]
 
+
+class InvariantError(RuntimeError):
+    """A production invariant check failed: a value the mathematics
+    guarantees (a bound, a parity, an integrality) did not hold.
+
+    Raised instead of ``assert`` so the checks survive ``python -O``.
+    """
+
 #: The numeric operations run under mpmath's process-global context; this
 #: reentrant lock serializes the precision switches so callers can invoke
 #: them from multiple threads without any synchronization of their own.

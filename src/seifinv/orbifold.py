@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from seifinv.numkernel import frac
+from seifinv.numkernel import InvariantError, frac
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ def canonical_representative(
     k = t.numerator // t.denominator
     rho = t - k
     rep = add_bundles(class_rep, scale_bundle(L0, k))
-    assert 0 <= rho < 1
-    assert (deg_k - 2 * rational_degree(rep)) / (2 * ell) == rho
+    if not 0 <= rho < 1 or (deg_k - 2 * rational_degree(rep)) / (2 * ell) != rho:
+        raise InvariantError(f"canonical representative {rep} does not have rho = {rho}")
     return rep, k, rho
 
 
@@ -180,17 +180,3 @@ def holonomy_rho(L: VLineBundle, L0: VLineBundle) -> Fraction:
         raise ValueError("holonomy_rho requires deg L0 != 0")
     deg_k = rational_degree(canonical_bundle(L.base))
     return (deg_k - 2 * rational_degree(L)) / (2 * ell)
-
-
-def bundle_to_json(L: VLineBundle) -> dict:
-    return {
-        "genus": L.base.genus,
-        "alphas": list(L.base.alphas),
-        "bundle": {"smooth_degree": L.smooth_degree, "gammas": list(L.gammas)},
-    }
-
-
-def bundle_from_json(data: dict) -> VLineBundle:
-    base = Orbifold(data["genus"], tuple(data["alphas"]))
-    b = data["bundle"]
-    return VLineBundle(base, b["smooth_degree"], tuple(b["gammas"]))

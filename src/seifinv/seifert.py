@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from seifinv.numkernel import InvariantError
 from seifinv.orbifold import Orbifold, VLineBundle
 
 
@@ -83,9 +84,11 @@ def brieskorn(a: int, b: int, c: int) -> SeifertData:
         betas.append((-pow(cofactor, -1, alpha)) % alpha)
     ell = Fraction(-1, abc)
     smooth = ell - sum(Fraction(bi, ai) for ai, bi in zip(triple, betas))
-    assert smooth.denominator == 1
+    if smooth.denominator != 1:
+        raise InvariantError(f"smooth degree {smooth} of Sigma{triple} is not integral")
     N = SeifertData(Orbifold(0, triple), tuple(betas), int(smooth))
-    assert N.ell == ell
+    if N.ell != ell:
+        raise InvariantError(f"Sigma{triple} has ell = {N.ell}, expected {ell}")
     return N
 
 
@@ -103,8 +106,3 @@ def is_homology_sphere(N: SeifertData) -> bool:
     for a in alphas:
         prod *= a
     return abs(N.ell) * prod == 1
-
-
-def degree_zero_guard(N: SeifertData) -> bool:
-    """True iff ell != 0; the eta-invariant formulas require it."""
-    return N.ell != 0

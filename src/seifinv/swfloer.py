@@ -45,12 +45,14 @@ Z = 8 m(P) + F(N).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from seifinv.eta import froyshov_F
+from seifinv.numkernel import InvariantError
 from seifinv.orbifold import (
     Orbifold,
     VLineBundle,
@@ -59,6 +61,11 @@ from seifinv.orbifold import (
     trivial_bundle,
 )
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
+
+#: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is materialised.
+#: The level table holds one int per box point, about 47 bytes each, so
+#: 10^7 points is about 0.5 GB; larger triples are refused with ValueError.
+MAX_BOX_POINTS = 10**7
 
 
 @dataclass(frozen=True, order=True)
@@ -91,6 +98,11 @@ class LaurentPolynomial:
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
+
+    @classmethod
+    def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPolynomial":
+        """The sum of T^e over the given exponents, repeats counted."""
+        return cls(Counter(exponents))
 
     def coeff(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -168,8 +180,16 @@ class LaurentPolynomial:
         return cls({int(e): int(c) for e, c in data.items()})
 
 
-def _brieskorn_triple(a: int, b: int, c: int) -> SeifertData:
-    return brieskorn(a, b, c)
+def _box_sized(a: int, b: int, c: int) -> SeifertData:
+    """Seifert data of Sigma(a, b, c), refusing triples whose weight box
+    has more than MAX_BOX_POINTS points."""
+    N = brieskorn(a, b, c)
+    if a * b * c > MAX_BOX_POINTS:
+        raise ValueError(
+            f"abc = {a * b * c} exceeds {MAX_BOX_POINTS}: the weight box "
+            f"of ({a},{b},{c}) is too large to enumerate"
+        )
+    return N
 
 
 def canonical_degree(a: int, b: int, c: int) -> Fraction:
@@ -183,7 +203,7 @@ def enumerate_delta(a: int, b: int, c: int) -> List[DeltaPoint]:
     Membership is the strict inequality x/a + y/b + z/c < kappa/2; in
     particular Delta is empty whenever kappa <= 0.
     """
-    _brieskorn_triple(a, b, c)  # validates the triple
+    _box_sized(a, b, c)
     abc = a * b * c
     # 2(x bc + y ac + z ab) < abc * kappa, as integers
     bound = abc - b * c - a * c - a * b
@@ -203,9 +223,13 @@ def enumerate_delta(a: int, b: int, c: int) -> List[DeltaPoint]:
     return points
 
 
+def _weight(p: DeltaPoint, a: int, b: int, c: int) -> int:
+    """abc * deg L_p = x bc + y ac + z ab."""
+    return p.x * b * c + p.y * a * c + p.z * a * b
+
+
 def in_delta(p: DeltaPoint, a: int, b: int, c: int) -> bool:
-    w2 = 2 * (p.x * b * c + p.y * a * c + p.z * a * b)
-    inside = w2 < a * b * c - b * c - a * c - a * b
+    inside = 2 * _weight(p, a, b, c) < a * b * c - b * c - a * c - a * b
     return inside and 0 <= p.x < a and 0 <= p.y < b and 0 <= p.z < c
 
 
@@ -216,15 +240,23 @@ def vortex_bundle(p: DeltaPoint, a: int, b: int, c: int) -> VLineBundle:
     return VLineBundle(Orbifold(0, (a, b, c)), 0, p.as_tuple())
 
 
-def energy(p: DeltaPoint, a: int, b: int, c: int) -> Fraction:
-    """E(p) = (deg L_p - kappa/2)^2 / ell; always <= 0 here since ell < 0.
+def energies(points: Sequence[DeltaPoint], a: int, b: int, c: int) -> List[Fraction]:
+    """E(p) = (deg L_p - kappa/2)^2 / ell for each point p of Delta(a, b, c);
+    always <= 0 here since ell < 0.  The triple's ell and kappa are
+    computed once for all points.
 
     The overall normalization constant of the flow energy is omitted: E
     is used only to label and order critical points.
     """
-    N = _brieskorn_triple(a, b, c)
-    nu = rational_degree(vortex_bundle(p, a, b, c)) - canonical_degree(a, b, c) / 2
-    return nu**2 / N.ell
+    ell = brieskorn(a, b, c).ell
+    half_kappa = canonical_degree(a, b, c) / 2
+    out = []
+    for p in points:
+        if not in_delta(p, a, b, c):
+            raise ValueError(f"{p} lies outside Delta({a}, {b}, {c})")
+        nu = Fraction(_weight(p, a, b, c), a * b * c) - half_kappa
+        out.append(nu**2 / ell)
+    return out
 
 
 def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
@@ -235,10 +267,11 @@ def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
 def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int]]:
     """All integer levels n_q = (deg L_q - c0)/ell over the weight box,
     sorted ascending, with N0 = abc * c0 and the reducible holonomy rho."""
-    N = _brieskorn_triple(a, b, c)
+    N = _box_sized(a, b, c)
     c0, rho = _reducible_data(N)
     n0 = c0 * a * b * c
-    assert n0.denominator == 1, "reducible level origin must be integral"
+    if n0.denominator != 1:
+        raise InvariantError(f"reducible level origin {n0} of ({a},{b},{c}) is not integral")
     n0 = int(n0)
     wbc, wac, wab = b * c, a * c, a * b
     levels = []
@@ -266,37 +299,27 @@ def _grading_from_levels(n_p: int, rho: Fraction, levels: List[int]) -> int:
     return 2 * neg - 2 * pos - 1
 
 
-def _vortex_level(p: DeltaPoint, a: int, b: int, c: int, n0: int) -> int:
-    w = p.x * b * c + p.y * a * c + p.z * a * b
-    return n0 - w
-
-
-def grading_plus(p: DeltaPoint, a: int, b: int, c: int) -> int:
-    """Grading n_+(p) of the holomorphic vortex at p; always odd."""
-    if not in_delta(p, a, b, c):
-        raise ValueError(f"{p} lies outside Delta({a}, {b}, {c})")
+def graded_delta(a: int, b: int, c: int) -> List[Tuple[DeltaPoint, int]]:
+    """Each point p of Delta(a, b, c), in lexicographic order, paired with
+    the grading n_+(p) of its holomorphic vortex; always odd.  One level
+    table serves every point."""
+    delta = enumerate_delta(a, b, c)
+    if not delta:
+        return []
     n0, rho, levels = _level_table(a, b, c)
-    return _grading_from_levels(_vortex_level(p, a, b, c, n0), rho, levels)
-
-
-def grading_minus(p: DeltaPoint, a: int, b: int, c: int) -> int:
-    """n_-(p) = n_+(p) + 1 (the antiholomorphic partner sits one above)."""
-    return grading_plus(p, a, b, c) + 1
+    graded = []
+    for p in delta:
+        n = _grading_from_levels(n0 - _weight(p, a, b, c), rho, levels)
+        if n % 2 == 0:
+            raise InvariantError(f"vortex grading {n} at {p} of ({a},{b},{c}) is even")
+        graded.append((p, n))
+    return graded
 
 
 def poincare_polynomial(a: int, b: int, c: int) -> LaurentPolynomial:
     """P(T) = sum over Delta of T^(n_+(p)); twice it is the Poincare
     polynomial of the irreducible Floer complex.  All exponents odd."""
-    delta = enumerate_delta(a, b, c)
-    if not delta:
-        return LaurentPolynomial.zero()
-    n0, rho, levels = _level_table(a, b, c)
-    coeffs: Dict[int, int] = {}
-    for p in delta:
-        n = _grading_from_levels(_vortex_level(p, a, b, c, n0), rho, levels)
-        assert n % 2 != 0, "vortex gradings must be odd"
-        coeffs[n] = coeffs.get(n, 0) + 1
-    return LaurentPolynomial(coeffs)
+    return LaurentPolynomial.from_exponents(n for _, n in graded_delta(a, b, c))
 
 
 def gap_m(P: LaurentPolynomial) -> int:

@@ -15,12 +15,13 @@ from mpmath import mp
 from seifinv import dedekind as ded
 from seifinv import lattice as lat
 from seifinv import swfloer as swf
-from seifinv.cli import compute_row
+from seifinv.cli import PAPER_TABLE, compute_row
 from seifinv.eta import (
     eta_dirac_levicivita,
     eta_series,
     eta_signature,
     eta_zero_flat,
+    eta_zero_flat_direct,
     eta_zero_pullback,
     flat_context,
     froyshov_F,
@@ -100,22 +101,9 @@ def test_criterion_03_poincare_sphere():
     _report(3, start, "Sigma(2,3,5): eta(0) = 539/360, const = 181/90, F = 8")
 
 
-TABLE = {
-    (2, 3, 5): (8, 0, 8),
-    (2, 3, 7): (-8, 8, 0),
-    (2, 3, 11): (0, 8, 8),
-    (2, 3, 13): (0, 0, 0),
-    (2, 3, 17): (8, 0, 8),
-    (3, 5, 7): (0, 8, 8),
-    (3, 5, 11): (0, 8, 8),
-    (3, 5, 13): (8, 0, 8),
-    (5, 7, 9): (0, 0, 0),
-}
-
-
 def test_criterion_04_froyshov_table():
     start = time.perf_counter()
-    for triple, want in TABLE.items():
+    for triple, want in PAPER_TABLE.items():
         row = compute_row(*triple)
         assert (row.F, row.eight_m, row.Z) == want, triple
     elapsed = time.perf_counter() - start
@@ -328,7 +316,8 @@ def test_criterion_12_property_suites():
         L = VLineBundle(N.base, rng.randint(-2, 2), tuple(rng.randrange(a) for a in N.alphas))
         ctx = pullback_context(N, L)
         assert eta_zero_pullback(ctx) == eta_zero_pullback(serre_dual_coupling(ctx))
-        eta_zero_flat(flat_context(N, L))  # asserts closed form == Dedekind form
+        flat = flat_context(N, L)
+        assert eta_zero_flat(flat) == eta_zero_flat_direct(flat)
 
     # odd exponent parity across all coprime triples with abc <= 4000
     for a in range(2, 16):

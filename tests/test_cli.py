@@ -1,12 +1,38 @@
 """CLI surface: subcommands, emitters, exit codes, verify suites."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from seifinv import dedekind, swfloer
 from seifinv.cli import main
 from seifinv.swfloer import LaurentPolynomial
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args, limit_bytes=None):
+    """Run a fresh interpreter on the package sources, optionally under an
+    address-space limit."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit if limit_bytes else None,
+    )
 
 
 def run(capsys, *argv):
@@ -172,3 +198,73 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
     assert exc.value.code == 2
+
+
+def test_swf_builds_one_level_table(capsys, monkeypatch):
+    calls = []
+    build = swfloer._level_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(swfloer, "_level_table", counted)
+    code, out = run(capsys, "swf", "--json", "--brieskorn", "5,7,9")
+    assert code == 0 and len(json.loads(out)["delta"]) == 6
+    assert calls == [(5, 7, 9)]
+
+
+def test_oversized_triple_exit_2():
+    # abc ~ 1.04e9: the weight box would need ~50 GB, so the command must be
+    # refused before allocating; the address-space cap turns any attempt
+    # into a MemoryError (exit 1) instead of exhausting the machine
+    proc = _python(
+        "-m", "seifinv.cli", "froyshov", "--brieskorn", "1009,1013,1019", limit_bytes=1 << 30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds" in proc.stderr and proc.stdout == ""
+
+
+def test_report_row_check_survives_optimize():
+    code = (
+        "from fractions import Fraction\n"
+        "from seifinv import InvariantError\n"
+        "from seifinv.cli import ReportRow\n"
+        "from seifinv.swfloer import LaurentPolynomial\n"
+        "try:\n"
+        "    ReportRow((2, 3, 5), Fraction(8), 0, Fraction(0), LaurentPolynomial())\n"
+        "except InvariantError:\n"
+        "    print('InvariantError')\n"
+    )
+    proc = _python("-O", "-c", code)
+    assert proc.stdout.strip() == "InvariantError", proc.stderr
+
+
+def test_invariant_error_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(swfloer, "_grading_from_levels", lambda *args: 2)
+    assert main(["swf", "--brieskorn", "2,3,7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "invariant check failed" in captured.err
+
+
+def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):
+    # the O(alpha) oracles in the suite must notice one wrong fast sum
+    seen = []
+    fast = dedekind.dr_sum_fast
+
+    def recording(*args):
+        seen.append(args)
+        return fast(*args)
+
+    monkeypatch.setattr(dedekind, "dr_sum_fast", recording)
+    assert run(capsys, "verify", "eta-consistency", "--cases", "20")[0] == 0
+    target = seen[len(seen) // 2]
+
+    def off_by_a_seventh(*args):
+        return fast(*args) + (Fraction(1, 7) if args == target else 0)
+
+    monkeypatch.setattr(dedekind, "dr_sum_fast", off_by_a_seventh)
+    code, out = run(capsys, "verify", "eta-consistency", "--cases", "20")
+    assert code == 1
+    assert "FAIL" in out and "differ" in out

@@ -16,6 +16,7 @@ from seifinv.dedekind import (
     dr_sum_fast,
     reciprocity_R,
 )
+from seifinv.numkernel import sawtooth
 
 
 def test_worked_example_both_routes():
@@ -114,15 +115,18 @@ def test_corner_examples():
 
 
 def test_corner_decomposition_exhaustive():
-    # corner_sum asserts its own Dedekind reduction internally; drive it
-    # over every 1 <= gamma < alpha <= 60 and every coprime beta
+    # S^+- = s(+-beta, alpha; gamma/alpha, 0) +- 1/2 ((q gamma/alpha)), both
+    # sides O(alpha), over every 1 <= gamma < alpha <= 60 and coprime beta
     for alpha in range(2, 61):
         for beta in range(1, alpha):
             if gcd(beta, alpha) != 1:
                 continue
+            q = pow(beta, -1, alpha)
             for gamma in range(1, alpha):
-                corner_sum(alpha, beta, gamma, +1)
-                corner_sum(alpha, beta, gamma, -1)
+                for sign in (1, -1):
+                    want = dr_sum_direct(sign * beta, alpha, Fraction(gamma, alpha), 0)
+                    want += Fraction(sign, 2) * sawtooth(Fraction(q * gamma, alpha))
+                    assert corner_sum(alpha, beta, gamma, sign) == want, (alpha, beta, gamma, sign)
 
 
 def test_corner_decomposition_against_fast_route():

@@ -1,6 +1,7 @@
 """Eta invariants: exact values, dual-route identities, series consistency."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,9 @@ from seifinv.eta import (
     eta_series,
     eta_signature,
     eta_zero_flat,
+    eta_zero_flat_direct,
     eta_zero_pullback,
+    eta_zero_pullback_direct,
     flat_context,
     froyshov_F,
     pullback_context,
@@ -104,14 +107,31 @@ def _random_seifert(rng, allow_genus=True):
 
 
 def test_dual_route_cross_validation_random():
-    # eta_zero_pullback and eta_zero_flat each assert their two reductions
-    # agree; drive them over a random corpus
+    # the O(log alpha) Dedekind routes against the O(alpha) corner-sum and
+    # closed-form oracles over a random corpus
     rng = random.Random(43)
     for _ in range(300):
         N = _random_seifert(rng)
         L = VLineBundle(N.base, rng.randint(-2, 2), tuple(rng.randrange(a) for a in N.alphas))
-        eta_zero_pullback(pullback_context(N, L))
-        eta_zero_flat(flat_context(N, L))
+        ctx = pullback_context(N, L)
+        assert eta_zero_pullback(ctx) == eta_zero_pullback_direct(ctx), (N, L)
+        flat = flat_context(N, L)
+        assert eta_zero_flat(flat) == eta_zero_flat_direct(flat), (N, L)
+
+
+def test_froyshov_F_at_large_alpha():
+    # production F runs no O(alpha) loop: milliseconds at alpha ~ 10^5
+    # (checked against the closed-form oracle) and at alpha ~ 10^7
+    N = brieskorn(99991, 99989, 99971)
+    ctx = trivial_flat_context(N)
+    assert eta_zero_flat(ctx) == eta_zero_flat_direct(ctx)
+    for N, want in ((N, None), (brieskorn(2, 3, 10**7 + 1), 8)):
+        start = time.perf_counter()
+        f = froyshov_F(N)
+        elapsed = time.perf_counter() - start
+        assert f.denominator == 1 and f.numerator % 8 == 0
+        assert want is None or f == want
+        assert elapsed < 0.05, f"F{N.alphas} took {elapsed * 1e3:.1f} ms"
 
 
 def test_serre_symmetry_random():

@@ -10,8 +10,6 @@ from seifinv.orbifold import (
     Orbifold,
     VLineBundle,
     add_bundles,
-    bundle_from_json,
-    bundle_to_json,
     canonical_bundle,
     canonical_representative,
     euler_characteristic,
@@ -184,9 +182,3 @@ def test_canonical_representative_idempotent_and_unique():
             other = add_bundles(rep, scale_bundle(L0, shift))
             assert not 0 <= holonomy_rho(other, L0) < 1
         checked += 1
-
-
-def test_json_round_trip():
-    base = Orbifold(2, (3, 4))
-    l = VLineBundle(base, -1, (2, 3))
-    assert bundle_from_json(bundle_to_json(l)) == l

@@ -11,7 +11,6 @@ from seifinv.seifert import (
     SeifertData,
     brieskorn,
     defining_bundle,
-    degree_zero_guard,
     is_homology_sphere,
 )
 
@@ -72,12 +71,6 @@ def test_is_homology_sphere():
     # coprime isotropies, wrong scaled degree
     scaled = SeifertData(Orbifold(0, (2, 3, 5)), (1, 2, 4), -1)
     assert not is_homology_sphere(scaled)
-
-
-def test_degree_zero_guard():
-    assert degree_zero_guard(brieskorn(2, 3, 5))
-    assert not degree_zero_guard(SeifertData(Orbifold(1, ()), (), 0))
-    assert not degree_zero_guard(SeifertData(Orbifold(0, (2, 2)), (1, 1), -1))
 
 
 def test_defining_bundle_matches_data():

@@ -17,13 +17,13 @@ from seifinv.orbifold import (
 from seifinv.seifert import brieskorn, defining_bundle
 from seifinv.swfloer import (
     DeltaPoint,
+    MAX_BOX_POINTS,
     LaurentPolynomial,
-    energy,
+    energies,
     enumerate_delta,
     froyshov_Z,
     gap_m,
-    grading_minus,
-    grading_plus,
+    graded_delta,
     poincare_polynomial,
     vortex_bundle,
 )
@@ -57,30 +57,37 @@ def test_vortex_bundle_and_energy():
     p = DeltaPoint(0, 0, 0)
     L = vortex_bundle(p, 2, 3, 7)
     assert L.smooth_degree == 0 and L.gammas == (0, 0, 0)
-    assert energy(p, 2, 3, 7) == Fraction(-1, 168)
+    assert energies([p], 2, 3, 7) == [Fraction(-1, 168)]
     with pytest.raises(ValueError):
         vortex_bundle(DeltaPoint(1, 0, 0), 2, 3, 7)
     with pytest.raises(ValueError):
-        energy(DeltaPoint(0, 0, 0), 2, 3, 5)
+        energies([DeltaPoint(0, 0, 0)], 2, 3, 5)
 
 
 def test_energy_nonpositive():
     for t in [(2, 3, 7), (3, 5, 13), (5, 7, 9)]:
-        for p in enumerate_delta(*t):
-            assert energy(p, *t) <= 0
+        assert all(e <= 0 for e in energies(enumerate_delta(*t), *t))
 
 
 def test_grading_examples():
-    assert grading_plus(DeltaPoint(0, 0, 0), 2, 3, 7) == -1
-    assert grading_plus(DeltaPoint(0, 0, 0), 2, 3, 13) == 1
-    got = sorted(grading_plus(p, 3, 5, 13) for p in enumerate_delta(3, 5, 13))
+    assert graded_delta(2, 3, 7) == [(DeltaPoint(0, 0, 0), -1)]
+    assert graded_delta(2, 3, 13) == [(DeltaPoint(0, 0, 0), 1)]
+    assert graded_delta(2, 3, 5) == []
+    got = sorted(n for _, n in graded_delta(3, 5, 13))
     assert got == [3, 5, 9]
 
 
-def test_grading_pairing():
+def test_graded_delta_lists_delta_in_order():
     for t in [(2, 3, 7), (3, 5, 11), (5, 7, 9)]:
-        for p in enumerate_delta(*t):
-            assert grading_minus(p, *t) == grading_plus(p, *t) + 1
+        assert [p for p, _ in graded_delta(*t)] == enumerate_delta(*t)
+
+
+def test_box_size_guard():
+    # refused before the point list or the level table is built
+    assert 101 * 103 * 967 > MAX_BOX_POINTS
+    for fn in (enumerate_delta, graded_delta, poincare_polynomial):
+        with pytest.raises(ValueError, match="exceeds"):
+            fn(101, 103, 967)
 
 
 def _h0(L) -> int:
@@ -108,8 +115,8 @@ def _oracle_grading(p, a, b, c):
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (2, 3, 13), (2, 3, 17), (3, 5, 13), (5, 7, 9), (2, 9, 11), (3, 7, 8)])
 def test_grading_against_bundle_walk_oracle(triple):
-    for p in enumerate_delta(*triple):
-        assert grading_plus(p, *triple) == _oracle_grading(p, *triple)
+    for p, n in graded_delta(*triple):
+        assert n == _oracle_grading(p, *triple)
 
 
 def test_published_polynomials():
