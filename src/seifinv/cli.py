@@ -238,6 +238,8 @@ def _base_data(args, parser) -> SeifertData:
 
 
 def _cmd_eta(args, parser) -> int:
+    if args.digits < 1:
+        parser.error(f"--digits {args.digits}: must be >= 1")
     N = _base_data(args, parser)
     out = {"ell": _fmt(N.ell)}
     if args.brieskorn:
@@ -572,10 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seifert", help="g:b:a1/b1,a2/b2,...")
     p.add_argument("--gammas", help="coupling weights g1,g2,...")
     p.add_argument("--rho", help="expected fiber holonomy (validated)")
-    p.add_argument(
-        "--at",
-        help="also evaluate the eta series at this s; write a negative s as --at=-11/2",
-    )
+    p.add_argument("--at", help="also evaluate the eta series at this s")
     p.add_argument("--digits", type=int, default=30)
     p.set_defaults(func=_cmd_eta)
 
@@ -620,9 +619,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value is a rational that may be negative.
+_SIGNED_RATIONAL_OPTIONS = ("--at", "--x", "--y")
+
+
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite "--at -11/2" as "--at=-11/2".  argparse takes a separate
+    "-11/2" for an option (only plain negative numbers count as values), so
+    the flag would be left without its argument."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_RATIONAL_OPTIONS and re.fullmatch(r"-\d+(/\d+)?", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, parser)
     except InvariantError as exc:

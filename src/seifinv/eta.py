@@ -55,11 +55,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mp
+
 from seifinv import dedekind
 from seifinv.numkernel import (
+    _GUARD_DIGITS,
+    MP_LOCK,
     BigFloat,
     InvariantError,
     Rational,
+    _as_mpf,
     hurwitz_zeta,
     periodic_dirichlet_split,
     riemann_zeta,
@@ -215,20 +220,16 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
     Uses the pullback expansion when rho = 0 and the holonomy-twisted
     expansion when rho in (0, 1).
     """
-    from mpmath import mp
-
-    from seifinv.numkernel import MP_LOCK
-
     N = ctx.fibration
     alphas, betas = N.alphas, N.betas
     gammas = ctx.coupling.gammas
     ell = N.ell
 
-    with MP_LOCK, mp.workdps(precision + 15):
+    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         if ctx.rho == 0:
-            z = riemann_zeta(_shift(s, -1), precision)
-            total = _mpf(-2 * ell) * z.value
-            eps = abs(_mpf(-2 * ell)) * z.eps
+            z = riemann_zeta(s - 1, precision)
+            total = _as_mpf(-2 * ell) * z.value
+            eps = abs(_as_mpf(-2 * ell)) * z.eps
             for a, b, g in zip(alphas, betas, gammas):
                 table = [
                     Fraction((g + r * b) % a, a) - Fraction((g - r * b) % a, a)
@@ -247,7 +248,7 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
 
         zp = hurwitz_zeta(s, rho, precision)
         zm = hurwitz_zeta(s, 1 - rho, precision)
-        w = _mpf(Fraction(deg_k - smooth_k, 2))
+        w = _as_mpf(Fraction(deg_k - smooth_k, 2))
         total = w * (zp.value - zm.value)
         eps = abs(w) * (zp.eps + zm.eps)
 
@@ -257,25 +258,11 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
             total += part.value
             eps += part.eps
 
-        s1 = _shift(s, -1)
-        zt = hurwitz_zeta(s1, rho, precision)
-        zu = hurwitz_zeta(s1, 1 - rho, precision)
-        total -= _mpf(ell) * (zt.value + zu.value)
-        eps += abs(_mpf(ell)) * (zt.eps + zu.eps)
+        zt = hurwitz_zeta(s - 1, rho, precision)
+        zu = hurwitz_zeta(s - 1, 1 - rho, precision)
+        total -= _as_mpf(ell) * (zt.value + zu.value)
+        eps += abs(_as_mpf(ell)) * (zt.eps + zu.eps)
         return BigFloat(total, precision, eps)
-
-
-def _mpf(x: Rational):
-    from mpmath import mp
-
-    x = Fraction(x)
-    return mp.mpf(x.numerator) / x.denominator
-
-
-def _shift(s, delta: int):
-    if isinstance(s, BigFloat):
-        return BigFloat(s.value + delta, s.digits, s.eps)
-    return s + delta
 
 
 def _require_trivial_homology_sphere(ctx: EtaContext) -> None:

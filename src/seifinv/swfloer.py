@@ -92,10 +92,6 @@ class LaurentPolynomial:
         self._coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
-    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 

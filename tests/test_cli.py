@@ -75,6 +75,30 @@ def test_eta_command_series(capsys):
     assert data["eta_at"]["value"].startswith("1.4972")
 
 
+def test_eta_series_golden_at_negative_s(capsys):
+    code, out = run(capsys, "eta", "--brieskorn", "2,3,5", "--at=-11/2", "--digits", "30")
+    assert code == 0
+    assert json.loads(out)["eta_at"]["value"] == "-33.0316443302059493324835865566@30"
+
+
+@pytest.mark.parametrize(
+    "argv", [("eta", "--brieskorn", "2,3,5", "--at"), ("dedekind", "4", "7", "--x")]
+)
+def test_negative_rational_as_separate_argument(capsys, argv):
+    joined = run(capsys, *argv[:-1], f"{argv[-1]}=-1/2")
+    assert joined[0] == 0
+    assert run(capsys, *argv, "-1/2") == joined
+
+
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_eta_digits_below_one_exit_2(capsys, digits):
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--brieskorn", "2,3,5", "--at=1/2", "--digits", digits])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"seifinv: error: --digits {digits}: must be >= 1"
+
+
 def test_eta_rho_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eta", "--brieskorn", "2,3,5", "--rho", "1/3"])

@@ -67,12 +67,43 @@ def test_hurwitz_closed_forms_at_special_points():
 @pytest.mark.parametrize("s", [Fraction(1, 2), 2, 3, Fraction(-1, 2), Fraction(5, 2)])
 @pytest.mark.parametrize("a", [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1])
 def test_hurwitz_against_mpmath(s, a):
-    # mpmath's zeta implements an independent algorithm
+    # against mpmath at 50 working digits
     got = hurwitz_zeta(s, a, 30)
     with mp.workdps(50):
         want = mp.zeta(mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else s,
                        mp.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else a)
         assert abs(got.value - want) < mp.mpf(10) ** -28
+
+
+def _eps_corpus():
+    """(s, a, digits): the points where an earlier Euler-Maclaurin kernel
+    under-reported its error, then a seeded sample of non-integer s in
+    [-25, 25] at least 1/8 from the pole, a in (0, 2]."""
+    cases = [
+        (Fraction(-5, 2), Fraction(1, 7), 60),
+        (Fraction(-11, 2), Fraction(1, 7), 30),
+        (Fraction(-21, 2), Fraction(1, 7), 15),
+        (Fraction(-21, 2), Fraction(1, 7), 30),
+    ]
+    rng = random.Random(2015)
+    while len(cases) < 64:
+        q = rng.randint(2, 8)
+        s = Fraction(rng.randint(-25 * q, 25 * q), q)
+        if s.denominator == 1 or abs(s - 1) < Fraction(1, 8):
+            continue
+        d = rng.randint(1, 12)
+        cases.append((s, Fraction(rng.randint(1, 2 * d), d), rng.choice((15, 20, 30, 40))))
+    return cases
+
+
+def test_eps_covers_error_over_corpus():
+    # For s < 0, mpmath evaluates a rational a = (p, q) by the reflection
+    # formula, independently of the real-a Euler-Maclaurin path production uses.
+    for s, a, digits in _eps_corpus():
+        got = hurwitz_zeta(s, a, digits)
+        with mp.workdps(2 * digits + 20):
+            ref = mp.zeta(mp.mpf(s.numerator) / s.denominator, (a.numerator, a.denominator))
+            assert abs(got.value - ref) <= got.eps, (s, a, digits)
 
 
 def test_hurwitz_guards():
@@ -82,6 +113,9 @@ def test_hurwitz_guards():
         hurwitz_zeta(2, Fraction(-1, 3), 30)
     with pytest.raises(ValueError):
         hurwitz_zeta(1 + 1e-35, 1, 30)
+    for precision in (0, -5):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            hurwitz_zeta(Fraction(1, 2), Fraction(1, 3), precision)
 
 
 def test_riemann_values():
