@@ -533,6 +533,9 @@ def _verify_lattice(*_args) -> Optional[str]:
 
 
 def _cmd_verify(args, parser) -> int:
+    for flag, value in (("--cases", args.cases), ("--k-max", args.k_max)):
+        if value < 1:
+            parser.error(f"{flag} {value}: must be >= 1")
     suites = {
         "dedekind-oracle": lambda: _verify_dedekind_oracle(args.seed, args.cases),
         "eta-consistency": lambda: _verify_eta_consistency(args.seed, min(args.cases, 50)),

@@ -26,9 +26,12 @@ B = [0,a) x [0,b) x [0,c).  Writing
                                    trivial class, n_q > 0 iff q in Delta)
 
 the signed crossing count between the reducible (level 0) and the vortex
-(level n_p) is
+(level n_p) counts the upward crossings at the levels in (rho, n_p) and
+the downward ones at their reflections 2 rho - n, i.e. at the levels in
+(2 rho - n_p, rho), where rho in [0, 1) is the holonomy of the canonical
+representative:
 
-    SF(p) = #{q in B : 0 < n_q < n_p} - #{q in B : -n_p < n_q < 0},
+    SF(p) = #{q in B : rho < n_q < n_p} - #{q in B : 2 rho - n_p < n_q < rho},
 
 and the gradings are
 
@@ -41,14 +44,19 @@ All exponents of the resulting Poincare polynomial
 are odd by construction.  The first gap m(P) is the least m >= 0 with
 vanishing coefficient at T^-(2m+1), and the bound assembled downstream is
 Z = 8 m(P) + F(N).
+
+Every vortex level satisfies n_p <= n0 = n_(0,0,0), so no level at or
+below 2 rho - n0 is ever counted, and the level table keeps only the
+levels above it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from seifinv.eta import froyshov_F
@@ -62,9 +70,10 @@ from seifinv.orbifold import (
 )
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
 
-#: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is materialised.
-#: The level table holds one int per box point, about 47 bytes each, so
-#: 10^7 points is about 0.5 GB; larger triples are refused with ValueError.
+#: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is enumerated;
+#: larger triples are refused with ValueError.  The level table keeps only
+#: the box points with x/a + y/b + z/c < 2 c0, about kappa^3/6 of B, so
+#: at abc = 10^7 a table costs about 127 MB of peak memory.
 MAX_BOX_POINTS = 10**7
 
 
@@ -261,38 +270,33 @@ def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
 
 
 def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int]]:
-    """All integer levels n_q = (deg L_q - c0)/ell over the weight box,
-    sorted ascending, with N0 = abc * c0 and the reducible holonomy rho."""
+    """The integer levels n_q = (deg L_q - c0)/ell that a grading can count,
+    sorted ascending, with n0 = abc * c0 and the reducible holonomy rho.
+
+    A box point q has level n0 - w_q, w_q = x bc + y ac + z ab.  Only levels
+    above 2 rho - n0 are ever counted, so only the weights
+    w <= 2 n0 - floor(2 rho) - 1 are materialised."""
     N = _box_sized(a, b, c)
     c0, rho = _reducible_data(N)
     n0 = c0 * a * b * c
     if n0.denominator != 1:
         raise InvariantError(f"reducible level origin {n0} of ({a},{b},{c}) is not integral")
     n0 = int(n0)
+    top = 2 * n0 - floor(2 * rho) - 1
     wbc, wac, wab = b * c, a * c, a * b
     levels = []
     for x in range(a):
-        wx = n0 - x * wbc
+        wx = x * wbc
+        if wx > top:
+            break
         for y in range(b):
-            wy = wx - y * wac
-            levels.extend(wy - z * wab for z in range(c))
+            wy = wx + y * wac
+            if wy > top:
+                break
+            run = min(c, (top - wy) // wab + 1)
+            levels.extend(range(n0 - wy, n0 - wy - run * wab, -wab))
     levels.sort()
     return n0, rho, levels
-
-
-def _count_open(levels: List[int], lo, hi) -> int:
-    """Number of levels strictly inside (lo, hi)."""
-    return bisect_left(levels, hi) - bisect_right(levels, lo)
-
-
-def _grading_from_levels(n_p: int, rho: Fraction, levels: List[int]) -> int:
-    if n_p <= 0:
-        raise ValueError("vortex level must be positive")
-    # upward crossings sit at levels in (rho, n_p), downward ones at
-    # 2 rho - n for n in (rho, n_p), i.e. at levels in (2 rho - n_p, rho)
-    pos = _count_open(levels, rho, n_p)
-    neg = _count_open(levels, 2 * rho - n_p, rho)
-    return 2 * neg - 2 * pos - 1
 
 
 def graded_delta(a: int, b: int, c: int) -> List[Tuple[DeltaPoint, int]]:
@@ -303,9 +307,19 @@ def graded_delta(a: int, b: int, c: int) -> List[Tuple[DeltaPoint, int]]:
     if not delta:
         return []
     n0, rho, levels = _level_table(a, b, c)
+    # levels are integers: (rho, n_p) is [floor(rho) + 1, n_p - 1] and
+    # (2 rho - n_p, rho) is [floor(2 rho) - n_p + 1, ceil(rho) - 1]
+    pos_start = bisect_left(levels, floor(rho) + 1)
+    neg_end = bisect_left(levels, ceil(rho))
+    neg_shift = floor(2 * rho) + 1
     graded = []
     for p in delta:
-        n = _grading_from_levels(n0 - _weight(p, a, b, c), rho, levels)
+        n_p = n0 - _weight(p, a, b, c)
+        if n_p <= 0:
+            raise InvariantError(f"vortex level {n_p} at {p} of ({a},{b},{c}) is not positive")
+        pos = bisect_left(levels, n_p) - pos_start
+        neg = neg_end - bisect_left(levels, neg_shift - n_p)
+        n = 2 * neg - 2 * pos - 1
         if n % 2 == 0:
             raise InvariantError(f"vortex grading {n} at {p} of ({a},{b},{c}) is even")
         graded.append((p, n))

@@ -218,6 +218,23 @@ def test_verify_suites_pass(capsys):
     assert run(capsys, "verify", "lattice")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dedekind-oracle", "--cases", "-3"),
+        ("eta-consistency", "--cases", "0"),
+        ("families", "--k-max", "0"),
+    ],
+)
+def test_verify_refuses_to_check_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"seifinv: error: {argv[1]} {argv[2]}: must be >= 1"
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
@@ -265,7 +282,8 @@ def test_report_row_check_survives_optimize():
 
 
 def test_invariant_error_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(swfloer, "_grading_from_levels", lambda *args: 2)
+    # a non-integral reducible level origin must fail the production check
+    monkeypatch.setattr(swfloer, "_reducible_data", lambda N: (Fraction(1, 5), Fraction(1, 2)))
     assert main(["swf", "--brieskorn", "2,3,7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 """Simplex enumeration, vortex gradings, Poincare polynomials, gaps."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from seifinv.swfloer import (
     DeltaPoint,
     MAX_BOX_POINTS,
     LaurentPolynomial,
+    _level_table,
     energies,
     enumerate_delta,
     froyshov_Z,
@@ -117,6 +119,68 @@ def _oracle_grading(p, a, b, c):
 def test_grading_against_bundle_walk_oracle(triple):
     for p, n in graded_delta(*triple):
         assert n == _oracle_grading(p, *triple)
+
+
+def _box_oracle_gradings(a, b, c):
+    """Independent route: the level of every point of the whole weight box,
+    with both rho-shifted open intervals counted directly, with no window
+    and no bisect.  rho is 0 or 1/2, so doubled levels compare as integers."""
+    N = brieskorn(a, b, c)
+    assert N.ell == Fraction(-1, a * b * c)
+    rep, _, rho = canonical_representative(trivial_bundle(N.base), defining_bundle(N))
+    n0 = -rational_degree(rep) / N.ell
+    assert n0.denominator == 1 and (2 * rho).denominator == 1
+    n0, r2 = int(n0), int(2 * rho)
+    twice = [
+        2 * (n0 - x * b * c - y * a * c - z * a * b)
+        for x in range(a)
+        for y in range(b)
+        for z in range(c)
+    ]
+    delta = enumerate_delta(a, b, c)
+    doubled = [2 * (n0 - p.x * b * c - p.y * a * c - p.z * a * b) for p in delta]
+    # the bounds at rho are the same for every point, so they are applied
+    # once; the lower bound of "below" is the loosest of any point's bounds
+    above = [t for t in twice if r2 < t]
+    below = [t for t in twice if 2 * r2 - max(doubled, default=0) < t < r2]
+    graded = []
+    for p, n2 in zip(delta, doubled):
+        pos = sum(t < n2 for t in above)
+        neg = sum(2 * r2 - n2 < t for t in below)
+        graded.append((p, 2 * neg - 2 * pos - 1))
+    return graded
+
+
+def _oracle_corpus(size, max_abc, seed):
+    """Seeded pairwise-coprime triples a < b < c with non-empty Delta and
+    abc <= max_abc, each drawn under a cap log-uniform in
+    [sqrt(max_abc), max_abc]."""
+    rng = random.Random(seed)
+    corpus = set()
+    while len(corpus) < size:
+        cap = int(max_abc ** rng.uniform(0.5, 1.0))
+        a = rng.randint(2, 19)
+        b = rng.randint(a + 1, max(a + 1, int((cap / a) ** 0.5)))
+        c = rng.randint(b + 1, max(b + 1, cap // (a * b)))
+        if a * b * c > max_abc or gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+            continue
+        if enumerate_delta(a, b, c):
+            corpus.add((a, b, c))
+    return sorted(corpus)
+
+
+def test_graded_delta_against_full_box_oracle():
+    corpus = _oracle_corpus(40, 2 * 10**4, seed=7)
+    assert any(all(e % 2 for e in t) for t in corpus)
+    assert any(any(e % 2 == 0 for e in t) for t in corpus)
+    for t in corpus:
+        assert graded_delta(*t) == _box_oracle_gradings(*t), t
+
+
+def test_level_table_is_windowed():
+    # only levels above 2 rho - n0 can be counted: about kappa^3/6 of the box
+    a, b, c = 95, 106, 109
+    assert len(_level_table(a, b, c)[2]) < a * b * c // 5
 
 
 def test_published_polynomials():
