@@ -241,6 +241,8 @@ def _cmd_eta(args, parser) -> int:
     if args.digits < 1:
         parser.error(f"--digits {args.digits}: must be >= 1")
     N = _base_data(args, parser)
+    if N.ell == 0:
+        parser.error("the fibration has degree ell = 0; eta invariants need ell != 0")
     out = {"ell": _fmt(N.ell)}
     if args.brieskorn:
         out["triple"] = list(N.alphas)
@@ -284,7 +286,12 @@ def _cmd_eta(args, parser) -> int:
 
     if args.at is not None:
         s = _parse_fraction(args.at, parser, "--at")
-        val = eta_mod.eta_series(ctx, s, args.digits)
+        try:
+            val = eta_mod.eta_series(ctx, s, args.digits)
+        except ValueError as exc:
+            parser.error(
+                f"--at {args.at}: the series meets the pole of zeta(s, a) or zeta(s - 1, a) ({exc})"
+            )
         out["eta_at"] = {"s": _fmt(s), "digits": args.digits, "value": str(val)}
 
     print(json.dumps(out, indent=2))
@@ -462,6 +469,10 @@ def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
     return None
 
 
+#: The plumbing matrix of Sigma(2,3,7): central -1 vertex joined to
+#: the chains (-2), (-3), (-7).
+PLUMBING_237 = ((-1, 1, 1, 1), (1, -2, 0, 0), (1, 0, -3, 0), (1, 0, 0, -7))
+
 #: The paper's (F, 8m, Z) table, keyed by Brieskorn triple.
 PAPER_TABLE = {
     (2, 3, 5): (8, 0, 8),
@@ -476,7 +487,7 @@ PAPER_TABLE = {
 }
 
 
-def _verify_froyshov_table(*_args) -> Optional[str]:
+def _verify_froyshov_table() -> Optional[str]:
     for triple, (f_exp, m_exp, z_exp) in PAPER_TABLE.items():
         row = compute_row(*triple)
         if (row.F, row.eight_m, row.Z) != (f_exp, m_exp, z_exp):
@@ -509,10 +520,9 @@ def _verify_families(k_max: int) -> Optional[str]:
     return None
 
 
-def _verify_lattice(*_args) -> Optional[str]:
-    golden_a = ((-1, 1, 1, 1), (1, -2, 0, 0), (1, 0, -3, 0), (1, 0, 0, -7))
+def _verify_lattice() -> Optional[str]:
     q = lat.plumbing_form(2, 3, 7)
-    if q.matrix != golden_a:
+    if q.matrix != PLUMBING_237:
         return f"plumbing_form(2,3,7) != golden matrix: {q.matrix}"
     if lat.theta_invariant(lat.minus_e8()) != 8:
         return "Theta(-E8) != 8"
@@ -536,18 +546,31 @@ def _cmd_verify(args, parser) -> int:
     for flag, value in (("--cases", args.cases), ("--k-max", args.k_max)):
         if value < 1:
             parser.error(f"{flag} {value}: must be >= 1")
+    seed, cases, k_max = args.seed, args.cases, args.k_max
+    eta_cases = min(cases, 50)
+    # suite -> (check, what it checked)
     suites = {
-        "dedekind-oracle": lambda: _verify_dedekind_oracle(args.seed, args.cases),
-        "eta-consistency": lambda: _verify_eta_consistency(args.seed, min(args.cases, 50)),
-        "froyshov-table": lambda: _verify_froyshov_table(),
-        "families": lambda: _verify_families(args.k_max),
-        "lattice": lambda: _verify_lattice(),
+        "dedekind-oracle": (
+            lambda: _verify_dedekind_oracle(seed, cases),
+            f"seed {seed}, {cases} cases",
+        ),
+        "eta-consistency": (
+            lambda: _verify_eta_consistency(seed, eta_cases),
+            f"seed {seed}, {eta_cases} cases",
+        ),
+        "froyshov-table": (_verify_froyshov_table, f"{len(PAPER_TABLE)} triples"),
+        "families": (
+            lambda: _verify_families(k_max),
+            f"Sigma(2,3,6k+-1) for k = 1..{k_max}, {2 * k_max} triples",
+        ),
+        "lattice": (_verify_lattice, "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings"),
     }
     if args.suite not in suites:
         parser.error(f"unknown suite {args.suite!r} (choose from {sorted(suites)})")
-    failure = suites[args.suite]()
+    check, checked = suites[args.suite]
+    failure = check()
     if failure is None:
-        print(f"verify {args.suite}: ok")
+        print(f"verify {args.suite}: ok ({checked})")
         return 0
     print(f"verify {args.suite}: FAIL: {failure}")
     return 1

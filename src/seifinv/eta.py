@@ -52,24 +52,12 @@ correction are exposed as well, and their r-dependence cancels in F.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from seifinv import dedekind
-from seifinv.numkernel import (
-    _GUARD_DIGITS,
-    MP_LOCK,
-    BigFloat,
-    InvariantError,
-    Rational,
-    _as_mpf,
-    hurwitz_zeta,
-    periodic_dirichlet_split,
-    riemann_zeta,
-    signed_periodic_split,
-)
+from seifinv.numkernel import BigFloat, InvariantError, Rational, frac, hurwitz_sum
 from seifinv.orbifold import (
     VLineBundle,
     canonical_bundle,
@@ -154,13 +142,16 @@ def eta_zero_pullback_direct(ctx: EtaContext) -> Fraction:
     return total
 
 
+def _head_weight(N: SeifertData) -> Fraction:
+    """(deg K - deg|K|)/2, the weight of the flat head term."""
+    return Fraction(rational_degree(canonical_bundle(N.base)) - (2 * N.base.genus - 2), 2)
+
+
 def _flat_head(ctx: EtaContext) -> Fraction:
     """(deg K - deg|K|)/2 (1 - 2 rho) - ell rho (1 - rho) + ell/6, the
     part of the flat eta(0) shared by both of its forms."""
     N, rho = ctx.fibration, ctx.rho
-    deg_k = rational_degree(canonical_bundle(N.base))
-    smooth_k = 2 * N.base.genus - 2
-    return Fraction(deg_k - smooth_k, 2) * (1 - 2 * rho) - N.ell * rho * (1 - rho) + N.ell / 6
+    return _head_weight(N) * (1 - 2 * rho) - N.ell * rho * (1 - rho) + N.ell / 6
 
 
 def _require_canonical_flat(ctx: EtaContext) -> None:
@@ -215,54 +206,39 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
 
 
 def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
-    """Numeric eta(s), assembled from Hurwitz-zeta evaluations.
+    """Numeric eta(s): the pullback expansion when rho = 0, the
+    holonomy-twisted one when rho in (0, 1) (module docstring).
 
-    Uses the pullback expansion when rho = 0 and the holonomy-twisted
-    expansion when rho in (0, 1).
+    Every term of either expansion is an exact weight on some
+    p^(-s') zeta(s', a) with s' in {s, s - 1}; the weights of equal keys
+    (s', p, a) are added exactly and the sum goes through one
+    ``hurwitz_sum`` call.  At rho = 1/2 the signed pairs zeta(s', x) and
+    zeta(s', 1 - x) land on the same keys, which halves the Hurwitz
+    evaluations and drops the head term, whose two halves cancel.
     """
-    N = ctx.fibration
-    alphas, betas = N.alphas, N.betas
-    gammas = ctx.coupling.gammas
-    ell = N.ell
+    N, rho = ctx.fibration, ctx.rho
+    fibers = zip(N.alphas, N.betas, ctx.coupling.gammas)
+    terms = defaultdict(Fraction)
+    if rho == 0:
+        terms[s - 1, 1, 1] -= 2 * N.ell
+        for a, b, g in fibers:
+            for r in range(1, a):
+                terms[s, a, Fraction(r, a)] += Fraction((g + r * b) % a - (g - r * b) % a, a)
+        return hurwitz_sum(terms, precision)
 
-    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        if ctx.rho == 0:
-            z = riemann_zeta(s - 1, precision)
-            total = _as_mpf(-2 * ell) * z.value
-            eps = abs(_as_mpf(-2 * ell)) * z.eps
-            for a, b, g in zip(alphas, betas, gammas):
-                table = [
-                    Fraction((g + r * b) % a, a) - Fraction((g - r * b) % a, a)
-                    for r in range(1, a + 1)
-                ]
-                part = periodic_dirichlet_split(table, s, precision)
-                total += part.value
-                eps += part.eps
-            return BigFloat(total, precision, eps)
-
-        if not ctx.is_canonical_flat:
-            raise ValueError("flat eta series requires the canonical representative context")
-        rho = ctx.rho
-        deg_k = rational_degree(canonical_bundle(N.base))
-        smooth_k = 2 * N.base.genus - 2
-
-        zp = hurwitz_zeta(s, rho, precision)
-        zm = hurwitz_zeta(s, 1 - rho, precision)
-        w = _as_mpf(Fraction(deg_k - smooth_k, 2))
-        total = w * (zp.value - zm.value)
-        eps = abs(w) * (zp.eps + zm.eps)
-
-        for a, b, g in zip(alphas, betas, gammas):
-            table = [-Fraction((g - k * b) % a, a) for k in range(a)]
-            part = signed_periodic_split(table, rho, s, precision)
-            total += part.value
-            eps += part.eps
-
-        zt = hurwitz_zeta(s - 1, rho, precision)
-        zu = hurwitz_zeta(s - 1, 1 - rho, precision)
-        total -= _as_mpf(ell) * (zt.value + zu.value)
-        eps += abs(_as_mpf(ell)) * (zt.eps + zu.eps)
-        return BigFloat(total, precision, eps)
+    _require_canonical_flat(ctx)
+    head = _head_weight(N)
+    terms[s, 1, rho] += head
+    terms[s, 1, 1 - rho] -= head
+    for a, b, g in fibers:
+        for k in range(a):
+            x = frac(Fraction(k + rho, a))
+            w = Fraction((g - k * b) % a, a)
+            terms[s, a, x] -= w
+            terms[s, a, 1 - x] += w
+    terms[s - 1, 1, rho] -= N.ell
+    terms[s - 1, 1, 1 - rho] -= N.ell
+    return hurwitz_sum(terms, precision)
 
 
 def _require_trivial_homology_sphere(ctx: EtaContext) -> None:

@@ -13,15 +13,14 @@ precision and a carried absolute error estimate):
     hurwitz_zeta(s, a)    zeta(s, a) = sum_{n>=0} (n + a)^(-s), a > 0,
                           by mpmath.zeta
     riemann_zeta(s)       zeta(s, 1)
-    periodic_dirichlet_split(f, s)
-                          sum_{n>=1} f(n)/n^s for a p-periodic f, folded
-                          into Hurwitz values:
-                          sum_{r=1}^{p} f(r) p^(-s) zeta(s, r/p)
-    signed_periodic_split(f, rho, s)
-                          sum over mu in rho + Z of sign(mu) f(mu - rho)/|mu|^s,
-                          folded as
-                          sum_{k=0}^{p-1} f(k) p^(-s)
-                              (zeta(s, {(k+rho)/p}) - zeta(s, 1 - {(k+rho)/p}))
+    hurwitz_sum(terms)    sum of w p^(-s) zeta(s, a) over a mapping
+                          (s, p, a) -> exact weight w: the one kernel
+                          every eta series is folded into
+
+Callers add the exact weights of equal keys before calling hurwitz_sum,
+so a value that several terms share (zeta(s, x) and zeta(s, 1 - x) of a
+signed split at rho = 1/2 land on the same keys) is evaluated once, and
+terms that cancel exactly are never evaluated.
 
 At s = 0 and s = -1 the zeta operations return the classical closed forms
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -174,62 +173,28 @@ def riemann_zeta(s, precision: int = 30) -> BigFloat:
     return hurwitz_zeta(s, 1, precision)
 
 
-def periodic_dirichlet_split(f: Sequence[Rational], s, precision: int = 30) -> BigFloat:
-    """sum_{n>=1} f(n)/n^s for f of integer period p, given by its table
-    f(1), ..., f(p).
-
-    Folds the series into Hurwitz values: sum_r f(r) p^(-s) zeta(s, r/p).
-    """
-    p = len(f)
-    if p < 1:
-        raise ValueError("periodic table must have length >= 1")
-    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        s_mpf = _as_mpf(s)
-        total = mp.mpf(0)
-        eps = mp.mpf(0)
-        scale = mp.mpf(p) ** (-s_mpf)
-        for r, fr in enumerate(f, start=1):
-            fr = Fraction(fr)
-            if fr == 0:
-                continue
-            z = hurwitz_zeta(s, Fraction(r, p), precision)
-            w = _as_mpf(fr) * scale
-            total += w * z.value
-            eps += abs(w) * z.eps
-        return BigFloat(total, precision, eps)
-
-
-def signed_periodic_split(
-    f: Sequence[Rational], rho: Rational, s, precision: int = 30
+def hurwitz_sum(
+    terms: Mapping[Tuple[Rational, int, Rational], Rational], precision: int = 30
 ) -> BigFloat:
-    """Two-sided signed series of a p-periodic f over the shifted lattice
-    rho + Z:
+    """sum of w p^(-s) zeta(s, a) over the terms (s, p, a) -> w, with
+    exact rational weights w.
 
-        sum_{mu in rho+Z} sign(mu) f(mu - rho) / |mu|^s
-        = sum_{k=0}^{p-1} f(k) p^(-s)
-              (zeta(s, {(k+rho)/p}) - zeta(s, 1 - {(k+rho)/p}))
-
-    The table lists f(0), ..., f(p-1); requires 0 < rho < 1.
+    Zero weights are skipped, p^(-s) is computed once per (s, p), and each
+    remaining key costs one ``hurwitz_zeta`` call; eps is the weighted sum
+    of the per-value eps.  Callers merge equal keys before the call, so
+    every distinct Hurwitz value is evaluated once.
     """
-    rho = Fraction(rho)
-    if not 0 < rho < 1:
-        raise ValueError(f"signed_periodic_split requires 0 < rho < 1, got {rho}")
-    p = len(f)
-    if p < 1:
-        raise ValueError("periodic table must have length >= 1")
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        s_mpf = _as_mpf(s)
         total = mp.mpf(0)
         eps = mp.mpf(0)
-        scale = mp.mpf(p) ** (-s_mpf)
-        for k, fk in enumerate(f):
-            fk = Fraction(fk)
-            if fk == 0:
+        scales = {}
+        for (s, p, a), w in terms.items():
+            if w == 0:
                 continue
-            x = frac(Fraction(k + rho, p))
-            zp = hurwitz_zeta(s, x, precision)
-            zm = hurwitz_zeta(s, 1 - x, precision)
-            w = _as_mpf(fk) * scale
-            total += w * (zp.value - zm.value)
-            eps += abs(w) * (zp.eps + zm.eps)
+            if (s, p) not in scales:
+                scales[s, p] = mp.mpf(p) ** (-_as_mpf(s))
+            z = hurwitz_zeta(s, a, precision)
+            wp = _as_mpf(w) * scales[s, p]
+            total += wp * z.value
+            eps += abs(wp) * z.eps
         return BigFloat(total, precision, eps)

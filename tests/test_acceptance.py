@@ -15,7 +15,7 @@ from mpmath import mp
 from seifinv import dedekind as ded
 from seifinv import lattice as lat
 from seifinv import swfloer as swf
-from seifinv.cli import PAPER_TABLE, compute_row
+from seifinv.cli import PAPER_TABLE, PLUMBING_237, compute_row
 from seifinv.eta import (
     eta_dirac_levicivita,
     eta_series,
@@ -32,6 +32,10 @@ from seifinv.eta import (
 from seifinv.numkernel import frac, sawtooth
 from seifinv.orbifold import Orbifold, VLineBundle, add_bundles, rational_degree
 from seifinv.seifert import SeifertData, brieskorn
+
+# the goldens live beside the unit tests of their layer
+from tests.test_lattice import GOLDEN_B
+from tests.test_swfloer import LADDER_2, LADDER_3, POLYNOMIALS
 
 
 def _report(number: int, started: float, description: str) -> None:
@@ -111,19 +115,6 @@ def test_criterion_04_froyshov_table():
     _report(4, start, "all nine (F, 8m, Z) table rows, exact")
 
 
-POLYNOMIALS = {
-    (2, 3, 5): {},
-    (2, 3, 7): {-1: 1},
-    (2, 3, 11): {-1: 1},
-    (2, 3, 13): {1: 1},
-    (2, 3, 17): {1: 1},
-    (3, 5, 7): {-1: 1, 1: 1},
-    (3, 5, 11): {-1: 1, 1: 1, 5: 1},
-    (3, 5, 13): {3: 1, 5: 1, 9: 1},
-    (5, 7, 9): {1: 2, 3: 1, 7: 1, 9: 1, 25: 1},
-}
-
-
 def test_criterion_05_polynomial_list():
     start = time.perf_counter()
     for triple, coeffs in POLYNOMIALS.items():
@@ -149,21 +140,6 @@ def test_criterion_06_periodic_families():
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"families took {elapsed:.2f} s"
     _report(6, start, "Sigma(2,3,6k+-1) for k = 1..50: P, F and Z patterns")
-
-
-LADDER_2 = {
-    1: {1: 1},
-    2: {1: 2, 5: 1},
-    3: {1: 3, 5: 2, 13: 1},
-    4: {1: 4, 5: 3, 13: 2, 25: 1},
-    5: {1: 5, 5: 4, 13: 3, 25: 2, 41: 1},
-}
-LADDER_3 = {
-    1: {1: 1},
-    2: {1: 2, 7: 1},
-    3: {1: 3, 7: 2, 19: 1},
-    4: {1: 4, 7: 3, 19: 2, 37: 1},
-}
 
 
 def test_criterion_07_ladder_regressions():
@@ -260,19 +236,10 @@ def test_criterion_10_series_vs_exact():
     _report(10, start, "eta series at s = 0 within 1e-26 of exact, both branches")
 
 
-GOLDEN_A = ((-1, 1, 1, 1), (1, -2, 0, 0), (1, 0, -3, 0), (1, 0, 0, -7))
-GOLDEN_B = (
-    (-42, -21, -14, -6),
-    (-21, -11, -7, -3),
-    (-14, -7, -5, -2),
-    (-6, -3, -2, -1),
-)
-
-
 def test_criterion_11_lattice_golden_values():
     start = time.perf_counter()
     q = lat.plumbing_form(2, 3, 7)
-    assert q.matrix == GOLDEN_A
+    assert q.matrix == PLUMBING_237
     inv = lat.form_inverse(q)
     assert tuple(tuple(int(x) for x in row) for row in inv) == GOLDEN_B
     assert lat.theta_invariant(lat.minus_e8()) == 8

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from seifinv import dedekind, swfloer
-from seifinv.cli import main
+from seifinv.cli import PLUMBING_237, main
 from seifinv.swfloer import LaurentPolynomial
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -99,6 +99,29 @@ def test_eta_digits_below_one_exit_2(capsys, digits):
     assert err[-1] == f"seifinv: error: --digits {digits}: must be >= 1"
 
 
+@pytest.mark.parametrize("triple, at", [("2,3,5", "1"), ("3,5,7", "2")])
+def test_eta_series_pole_exit_2(capsys, triple, at):
+    # s = 1 meets the pole of zeta(s, a), s = 2 that of zeta(s - 1, a)
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--brieskorn", triple, f"--at={at}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"seifinv: error: --at {at}: ")
+
+
+@pytest.mark.parametrize("extra", [(), ("--gammas", ""), ("--at=1/2",)])
+def test_eta_degree_zero_exit_2(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--seifert", "0:0:", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "seifinv: error: the fibration has degree ell = 0; eta invariants need ell != 0"
+    )
+
+
 def test_eta_rho_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eta", "--brieskorn", "2,3,5", "--rho", "1/3"])
@@ -139,12 +162,7 @@ def test_plumbing_command(capsys):
         capsys, "plumbing", "--brieskorn", "2,3,7", "--matrix", "--theta", "--diagonalize"
     )
     data = json.loads(out)
-    assert data["matrix"] == [
-        [-1, 1, 1, 1],
-        [1, -2, 0, 0],
-        [1, 0, -3, 0],
-        [1, 0, 0, -7],
-    ]
+    assert data["matrix"] == [list(row) for row in PLUMBING_237]
     assert data["theta"] == 0
     assert data["diagonal_rank"] == 4
     assert data["residual"] is None
@@ -211,11 +229,17 @@ def test_bad_family_exit_2(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    assert run(capsys, "verify", "dedekind-oracle", "--seed", "7", "--cases", "40")[0] == 0
-    assert run(capsys, "verify", "eta-consistency", "--cases", "8")[0] == 0
-    assert run(capsys, "verify", "froyshov-table")[0] == 0
-    assert run(capsys, "verify", "families", "--k-max", "6")[0] == 0
-    assert run(capsys, "verify", "lattice")[0] == 0
+    # each PASS line says what the suite checked
+    for argv, checked in [
+        (("dedekind-oracle", "--seed", "7", "--cases", "40"), "seed 7, 40 cases"),
+        (("eta-consistency", "--cases", "8"), "seed 7, 8 cases"),
+        # eta-consistency runs at most 50 cases, whatever --cases asks for
+        (("eta-consistency", "--seed", "3", "--cases", "60"), "seed 3, 50 cases"),
+        (("froyshov-table",), "9 triples"),
+        (("families", "--k-max", "6"), "Sigma(2,3,6k+-1) for k = 1..6, 12 triples"),
+        (("lattice",), "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings"),
+    ]:
+        assert run(capsys, "verify", *argv) == (0, f"verify {argv[0]}: ok ({checked})\n")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
@@ -26,8 +27,15 @@ from seifinv.eta import (
     trivial_flat_context,
 )
 from seifinv.numkernel import frac
-from seifinv.orbifold import Orbifold, VLineBundle, trivial_bundle
+from seifinv.orbifold import (
+    Orbifold,
+    VLineBundle,
+    canonical_bundle,
+    rational_degree,
+    trivial_bundle,
+)
 from seifinv.seifert import SeifertData, brieskorn
+from tests.test_numkernel import _count_hurwitz_calls
 
 
 def _exact_mpf(x: Fraction):
@@ -164,6 +172,115 @@ def test_series_smooth_base_closed_form():
     got = eta_series(ctx, 3, 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 3) < mp.mpf(10) ** -26
+
+
+def _series_terms(ctx, s):
+    """The eta series of the module docstring as (s', p, a, w), one entry
+    per written term w p^(-s') zeta(s', a), nothing merged."""
+    N, rho = ctx.fibration, ctx.rho
+    fibers = list(zip(N.alphas, N.betas, ctx.coupling.gammas))
+    if rho == 0:
+        terms = [(s - 1, 1, Fraction(1), -2 * N.ell)]
+        for a, b, g in fibers:
+            for r in range(1, a):
+                w = frac(Fraction(g + r * b, a)) - frac(Fraction(g - r * b, a))
+                terms.append((s, a, Fraction(r, a), w))
+        return terms
+    head = Fraction(rational_degree(canonical_bundle(N.base)) - (2 * N.base.genus - 2), 2)
+    terms = [(s, 1, rho, head), (s, 1, 1 - rho, -head)]
+    for a, b, g in fibers:
+        for k in range(a):
+            w = frac(Fraction(g - k * b, a))
+            x = frac(Fraction(k + rho, a))
+            terms += [(s, a, x, -w), (s, a, 1 - x, w)]
+    return terms + [(s - 1, 1, rho, -N.ell), (s - 1, 1, 1 - rho, -N.ell)]
+
+
+def _series_oracle(ctx, s, digits):
+    """Term-by-term eta(s), each zeta(s', a) by mpmath's rational-a route
+    mp.zeta(s', (p, q)) at 2 digits + 20."""
+    with mp.workdps(2 * digits + 20):
+        total = mp.mpf(0)
+        for s1, p, a, w in _series_terms(ctx, s):
+            if w:
+                zeta = mp.zeta(_exact_mpf(s1), (a.numerator, a.denominator))
+                total += _exact_mpf(Fraction(w)) * mp.mpf(p) ** -_exact_mpf(s1) * zeta
+        return +total
+
+
+def _series_corpus():
+    """(ctx, s, digits): per regime (rho = 0, rho = 1/2, a general rho) two
+    cases at s > 0 with alphas up to 40, and two at s < 0 with alphas up
+    to 7 and rho of denominator at most 3, where the reference's rational-a
+    route costs O(denominator of a) per value.  s is non-integer in
+    [-25, 25], at least 1/8 from the poles s = 1 and s = 2; 15-40 digits."""
+    rng = random.Random(2024)
+
+    def brieskorn_triple(hi, even):
+        while True:
+            t = sorted(rng.sample(range(2, hi + 1), 3))
+            evens = sum(x % 2 == 0 for x in t)
+            if gcd(t[0], t[1]) * gcd(t[0], t[2]) * gcd(t[1], t[2]) == 1 and evens == even:
+                return brieskorn(*t)
+
+    def regimes(hi, max_den):
+        N = brieskorn_triple(hi, 0)
+        gammas = tuple(rng.randrange(a) for a in N.alphas)
+        yield trivial_flat_context(N) if rng.random() < 0.5 else pullback_context(
+            N, VLineBundle(N.base, 0, gammas)
+        )
+        yield trivial_flat_context(brieskorn_triple(hi, 1))
+        while True:  # a --seifert base with gammas
+            m = rng.randint(1, 3)
+            alphas = tuple(rng.randint(2, hi) for _ in range(m))
+            betas = tuple(rng.choice([b for b in range(1, a) if gcd(a, b) == 1]) for a in alphas)
+            N = SeifertData(Orbifold(rng.randint(0, 2), alphas), betas, rng.randint(-3, 3))
+            if N.ell == 0:
+                continue
+            gammas = tuple(rng.randrange(a) for a in alphas)
+            ctx = flat_context(N, VLineBundle(N.base, 0, gammas))
+            if ctx.rho not in (0, Fraction(1, 2)) and ctx.rho.denominator <= max_den:
+                yield ctx
+                return
+
+    cases = []
+    for sign, hi, max_den in ((1, 40, 12), (1, 40, 12), (-1, 7, 3), (-1, 7, 3)):
+        for ctx in regimes(hi, max_den):
+            while True:
+                q = rng.randint(2, 8)
+                s = sign * Fraction(rng.randint(1, 25 * q), q)
+                if s.denominator > 1 and min(abs(s - 1), abs(s - 2)) >= Fraction(1, 8):
+                    break
+            cases.append((ctx, s, rng.choice((15, 20, 30, 40))))
+    return cases
+
+
+def test_series_eps_covers_error_against_term_oracle():
+    for ctx, s, digits in _series_corpus():
+        got = eta_series(ctx, s, digits)
+        with mp.workdps(2 * digits + 20):
+            err = abs(got.value - _series_oracle(ctx, s, digits))
+            assert err <= got.eps, (ctx.fibration, ctx.rho, s, digits, err, got.eps)
+
+
+@pytest.mark.parametrize(
+    "triple, s, digits, terms, keys",
+    [
+        ((2, 31, 67), Fraction(-3, 2), 15, 198, 99),  # rho = 1/2: the pairs merge
+        ((16, 25, 39), Fraction(1, 2), 20, 158, 79),  # rho = 1/2
+        ((3, 5, 7), Fraction(1, 2), 20, 13, 13),  # rho = 0: nothing merges
+    ],
+)
+def test_series_one_hurwitz_call_per_merged_key(monkeypatch, triple, s, digits, terms, keys):
+    ctx = trivial_flat_context(brieskorn(*triple))
+    merged = defaultdict(Fraction)
+    for s1, p, a, w in _series_terms(ctx, s):
+        merged[s1, p, a] += w
+    assert sum(1 for *_, w in _series_terms(ctx, s) if w) == terms
+    assert sum(1 for w in merged.values() if w) == keys
+    calls = _count_hurwitz_calls(monkeypatch)
+    eta_series(ctx, s, digits)
+    assert len(calls) == len(set(calls)) == keys
 
 
 def test_levicivita_correction():

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from seifinv.cli import PLUMBING_237
 from seifinv.lattice import (
     IntegerQuadraticForm,
     diagonal_form,
@@ -20,7 +21,6 @@ from seifinv.lattice import (
     theta_invariant,
 )
 
-GOLDEN_A = ((-1, 1, 1, 1), (1, -2, 0, 0), (1, 0, -3, 0), (1, 0, 0, -7))
 GOLDEN_B = (
     (-42, -21, -14, -6),
     (-21, -11, -7, -3),
@@ -60,7 +60,7 @@ def test_hj_validation():
 
 def test_plumbing_golden_237():
     q = plumbing_form(2, 3, 7)
-    assert q.matrix == GOLDEN_A
+    assert q.matrix == PLUMBING_237
     inv = form_inverse(q)
     assert tuple(tuple(int(x) for x in row) for row in inv) == GOLDEN_B
     assert all(x.denominator == 1 for row in inv for x in row)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,12 @@ from mpmath import mp
 from seifinv.numkernel import (
     BigFloat,
     frac,
+    hurwitz_sum,
     hurwitz_zeta,
-    periodic_dirichlet_split,
     psi2,
     riemann_zeta,
     sawtooth,
     sawtooth_pq,
-    signed_periodic_split,
 )
 
 
@@ -126,22 +126,27 @@ def test_riemann_values():
         assert abs(z2.value - mp.pi**2 / 6) < mp.mpf(10) ** -28
 
 
+# A p-periodic Dirichlet series sum_{n>=1} f(n)/n^s folds into
+# sum_r f(r) p^(-s) zeta(s, r/p); a signed series over rho + Z folds into
+# pairs w zeta(s, x) - w zeta(s, 1 - x).  Both are hurwitz_sum terms.
+
+
 def test_periodic_split_identity_case():
-    got = periodic_dirichlet_split([1], 2, 30)
+    got = hurwitz_sum({(2, 1, 1): 1}, 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 6) < mp.mpf(10) ** -27
 
 
 def test_periodic_split_odd_n_only():
     # sum over odd n of 1/n^2 = (1 - 1/4) zeta(2) = pi^2/8
-    got = periodic_dirichlet_split([1, 0], 2, 30)
+    got = hurwitz_sum({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): 0}, 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 8) < mp.mpf(10) ** -27
 
 
 def test_periodic_split_alternating():
     # sum (-1)^(n+1)/n^2 = pi^2/12
-    got = periodic_dirichlet_split([1, -1], 2, 30)
+    got = hurwitz_sum({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): -1}, 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 12) < mp.mpf(10) ** -27
 
@@ -149,7 +154,7 @@ def test_periodic_split_alternating():
 def test_periodic_split_matches_partial_sum_at_s3():
     rng = random.Random(17)
     table = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(5)]
-    got = periodic_dirichlet_split(table, 3, 30)
+    got = hurwitz_sum({(3, 5, Fraction(r, 5)): f for r, f in enumerate(table, start=1)}, 30)
     n_terms = 10**6
     vals = [float(t) for t in table]
     partial = math.fsum(vals[(n - 1) % 5] / n**3 for n in range(1, n_terms + 1))
@@ -158,26 +163,47 @@ def test_periodic_split_matches_partial_sum_at_s3():
     assert abs(float(got.value) - partial) < bound
 
 
-def test_signed_split_zero_function():
-    assert abs(float(signed_periodic_split([0, 0, 0], Fraction(1, 3), 2, 30).value)) == 0
+def _count_hurwitz_calls(monkeypatch):
+    calls = []
+    real = hurwitz_zeta
+
+    def counted(s, a, precision=30):
+        calls.append((s, a))
+        return real(s, a, precision)
+
+    monkeypatch.setattr("seifinv.numkernel.hurwitz_zeta", counted)
+    return calls
 
 
-def test_signed_split_half_symmetry():
-    got = signed_periodic_split([1], Fraction(1, 2), 0, 30)
-    assert abs(float(got.value)) < 1e-28
+def test_signed_split_zero_function(monkeypatch):
+    calls = _count_hurwitz_calls(monkeypatch)
+    got = hurwitz_sum({(2, 3, Fraction(k + 1, 9)): 0 for k in range(3)}, 30)
+    assert (got.value, got.eps, calls) == (0, 0, [])
+
+
+def test_signed_split_half_symmetry(monkeypatch):
+    # at rho = 1/2 the pair zeta(0, rho) - zeta(0, 1 - rho) merges to a zero
+    # weight: exactly 0, with no Hurwitz evaluation
+    calls = _count_hurwitz_calls(monkeypatch)
+    rho = Fraction(1, 2)
+    terms = defaultdict(Fraction)
+    terms[0, 1, rho] += 1
+    terms[0, 1, 1 - rho] -= 1
+    got = hurwitz_sum(terms, 30)
+    assert (got.value, got.eps, calls) == (0, 0, [])
 
 
 def test_signed_split_quarter():
     # zeta(0, rho) - zeta(0, 1 - rho) = 1 - 2 rho
-    got = signed_periodic_split([1], Fraction(1, 4), 0, 30)
+    got = hurwitz_sum({(0, 1, Fraction(1, 4)): 1, (0, 1, Fraction(3, 4)): -1}, 30)
     assert abs(float(got.value) - 0.5) < 1e-28
 
 
 def test_signed_split_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        signed_periodic_split([1], Fraction(3, 2), 2, 30)
-    with pytest.raises(ValueError):
-        signed_periodic_split([1], 0, 2, 30)
+    # a signed pair at rho outside (0, 1) puts a term at a <= 0
+    for rho in (Fraction(3, 2), Fraction(0)):
+        with pytest.raises(ValueError, match="requires a > 0"):
+            hurwitz_sum({(2, 1, rho): 1, (2, 1, 1 - rho): -1}, 30)
 
 
 def test_doubling_precision_keeps_leading_digits():

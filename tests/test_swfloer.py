@@ -30,7 +30,7 @@ from seifinv.swfloer import (
     vortex_bundle,
 )
 
-PUBLISHED = {
+POLYNOMIALS = {
     (2, 3, 5): {},
     (2, 3, 7): {-1: 1},
     (2, 3, 11): {-1: 1},
@@ -184,7 +184,7 @@ def test_level_table_is_windowed():
 
 
 def test_published_polynomials():
-    for t, coeffs in PUBLISHED.items():
+    for t, coeffs in POLYNOMIALS.items():
         assert poincare_polynomial(*t) == LaurentPolynomial(coeffs), t
 
 
