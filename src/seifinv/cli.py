@@ -520,6 +520,13 @@ def _verify_families(k_max: int) -> Optional[str]:
     return None
 
 
+#: Plumbing forms of rank <= 13 whose Theta `verify lattice` recomputes by
+#: the full-rank characteristic search: Sigma(2,3,6k+-1) for k <= 2, the
+#: odd norm-1-free form of Sigma(3,5,7), and Sigma(3,11,13), which splits
+#: off one <-1> and leaves an odd residual.
+LATTICE_ORACLE_TRIPLES = ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13), (3, 5, 7), (3, 11, 13))
+
+
 def _verify_lattice() -> Optional[str]:
     q = lat.plumbing_form(2, 3, 7)
     if q.matrix != PLUMBING_237:
@@ -539,6 +546,12 @@ def _verify_lattice() -> Optional[str]:
     q1 = lat.diagonal_form([-1, -1, -1])
     if lat.theta_invariant(lat.direct_sum(q1, e8)) != 0 + 8:
         return "P4 fails on <-1>^3 + -E8"
+    # production Theta goes through the <-1> split; the oracle does not
+    for t in LATTICE_ORACLE_TRIPLES:
+        q = lat.plumbing_form(*t)
+        theta, oracle = lat.theta_invariant(q), lat._theta_search(q)
+        if theta != oracle:
+            return f"Theta(Gamma_{t}) = {theta}, but the full-rank search gives {oracle}"
     return None
 
 
@@ -563,7 +576,11 @@ def _cmd_verify(args, parser) -> int:
             lambda: _verify_families(k_max),
             f"Sigma(2,3,6k+-1) for k = 1..{k_max}, {2 * k_max} triples",
         ),
-        "lattice": (_verify_lattice, "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings"),
+        "lattice": (
+            _verify_lattice,
+            "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings, "
+            f"Theta against the full-rank search on {len(LATTICE_ORACLE_TRIPLES)} forms",
+        ),
     }
     if args.suite not in suites:
         parser.error(f"unknown suite {args.suite!r} (choose from {sorted(suites)})")

@@ -14,19 +14,24 @@ Theta invariant.  For a negative definite unimodular form q,
 
     Theta(q) = rk(q) + max { q(xi, xi) : xi characteristic },
 
-where xi is characteristic iff q(xi, v) = q(v, v) mod 2 for all v.  The
-characteristic vectors form a single coset xi0 + 2 Lambda; Theta is found
-by a depth-first branch-and-bound over that coset, pruned through the
-exact triangular decomposition of -q, visiting coordinates in decreasing
-diagonal magnitude.  Theta is divisible by 8, satisfies
-0 <= Theta(q) <= rk(q), with the upper bound attained iff q is even, and
-vanishes iff q is diagonalizable.
+where xi is characteristic iff q(xi, v) = q(v, v) mod 2 for all v.  Theta
+is divisible by 8, satisfies 0 <= Theta(q) <= rk(q), with the upper bound
+attained iff q is even, and vanishes iff q is diagonalizable (Elkies,
+"A characterization of the Z^n lattice", 1995).  It adds over orthogonal
+sums, with Theta(<-1>) = 0 and Theta(even) = rk, so it is computed from
+the split below: 0 for a complete split, rk R for an even residual R, and
+otherwise a depth-first branch-and-bound over the characteristic coset
+xi0 + 2 R of the residual alone, pruned through the exact triangular
+decomposition of -R, visiting coordinates in decreasing diagonal
+magnitude.
 
-Splitting.  Whenever q has a vector v with q(v, v) = -1, the lattice
-splits as <v> + v-perp with both summands unimodular, so <-1> factors
-split off one at a time; the residual (when nonempty) has no norm-one
-vectors.  For the Brieskorn families treated here the residual is either
-empty or isometric to -E8, which is recognized by its invariants
+Splitting.  Write q = <-1>^k + R with R free of norm -1 vectors.  The
+norm -1 vectors of q are then exactly +-e_1, ..., +-e_k, pairwise
+orthogonal, so one exhaustive Fincke-Pohst enumeration of the vectors of
+norm -1 finds all k summands at once, and R is the common kernel of their
+k pairings, again unimodular.  The split is computed once per form and
+cached on it.  For the Brieskorn families treated here the residual is
+either empty or isometric to -E8, which is recognized by its invariants
 (rank 8, even, unimodular, negative definite).
 """
 
@@ -34,13 +39,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from seifinv.numkernel import InvariantError
 from seifinv.seifert import brieskorn
 
 Matrix = Tuple[Tuple[int, ...], ...]
+
+#: Largest plumbing rank n whose intersection form is built; larger ones
+#: are refused with ValueError.  The n x n matrix then has at most
+#: 4 * 10^6 cells, and a command holds about three such arrays at once
+#: (the form, its negation and the Fraction LDL), about 10^7 cells: at
+#: rank 2000 that peaks near 420 MB.  Sigma(2,3,c) has rank about c/6.
+MAX_PLUMBING_RANK = 2000
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
@@ -77,7 +89,12 @@ class IntegerQuadraticForm:
 
     def is_negative_definite(self) -> bool:
         if "negdef" not in self._cache:
-            self._cache["negdef"] = _is_positive_definite(_negate(self.matrix))
+            try:
+                # the LDL of -q is kept for the enumeration of the <-1> split
+                self._cache["ldl"] = _ldl(_negate(self.matrix))
+                self._cache["negdef"] = True
+            except ValueError:
+                self._cache["negdef"] = False
         return self._cache["negdef"]
 
     def is_unimodular(self) -> bool:
@@ -98,8 +115,12 @@ class PlumbingGraph:
     center_weight: int
     arms: Tuple[Tuple[int, ...], ...]
 
+    @property
+    def rank(self) -> int:
+        return 1 + sum(len(arm) for arm in self.arms)
+
     def intersection_form(self) -> IntegerQuadraticForm:
-        n = 1 + sum(len(arm) for arm in self.arms)
+        n = self.rank
         m = [[0] * n for _ in range(n)]
         m[0][0] = self.center_weight
         idx = 1
@@ -140,8 +161,15 @@ def plumbing_graph(a: int, b: int, c: int) -> PlumbingGraph:
 
 def plumbing_form(a: int, b: int, c: int) -> IntegerQuadraticForm:
     """Intersection form of the Hirzebruch-Jung plumbing; negative
-    definite and unimodular."""
-    q = plumbing_graph(a, b, c).intersection_form()
+    definite and unimodular.  Ranks above MAX_PLUMBING_RANK are refused
+    with ValueError before any matrix is built."""
+    graph = plumbing_graph(a, b, c)
+    if graph.rank > MAX_PLUMBING_RANK:
+        raise ValueError(
+            f"plumbing rank {graph.rank} exceeds {MAX_PLUMBING_RANK}: the "
+            f"intersection form of ({a},{b},{c}) is too large to build"
+        )
+    q = graph.intersection_form()
     if not q.is_negative_definite():
         raise InvariantError(f"plumbing form of ({a},{b},{c}) not negative definite")
     if not q.is_unimodular():
@@ -210,14 +238,6 @@ def _det_bareiss(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _is_positive_definite(m: Matrix) -> bool:
-    try:
-        _ldl(m)
-        return True
-    except ValueError:
-        return False
-
-
 def _ldl(m: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
     """Triangular decomposition of a positive definite symmetric matrix:
 
@@ -236,10 +256,14 @@ def _ldl(m: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
             raise ValueError("matrix is not positive definite")
         for j in range(i + 1, n):
             u[i][j] = work[i][j] / d[i]
-        for r in range(i + 1, n):
-            for s in range(r, n):
-                work[r][s] -= d[i] * u[i][r] * u[i][s]
-                work[s][r] = work[r][s]
+        # plumbing forms are sparse: only rows with u_ir != 0 change
+        support = [r for r in range(i + 1, n) if u[i][r]]
+        for r in support:
+            f = d[i] * u[i][r]
+            for s in support:
+                if s >= r:
+                    work[r][s] -= f * u[i][s]
+                    work[s][r] = work[r][s]
     return d, u
 
 
@@ -297,16 +321,25 @@ def _min_norm_search(
     parity: Optional[List[int]],
     bound: Fraction,
     skip_zero: bool = False,
+    collect: Optional[List[List[int]]] = None,
 ) -> Tuple[Optional[Fraction], Optional[List[int]]]:
     """Minimum of Q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2 over integer
     vectors (optionally constrained to x_i = parity_i mod 2), among
-    vectors with Q <= bound; optionally ignoring x = 0.
+    vectors with Q <= bound; optionally ignoring x = 0.  Every vector
+    reached is appended to `collect` when given: the search never prunes
+    below the best value found, so with bound 1 that is every vector of
+    Q = 1.
 
     Depth-first from the last coordinate with exact zig-zag enumeration:
     at each level candidates move outward from the real minimizer until
     the level cost alone exhausts the remaining budget.
     """
     n = len(d)
+    # row i as u_ij = num_ij / den_i over its nonzero entries, so each
+    # minimizer is one integer sum over the assigned coordinates
+    dens = [lcm(*(f.denominator for f in u[i][i + 1:])) for i in range(n)]
+    nums = [[(j, int(u[i][j] * dens[i])) for j in range(i + 1, n) if u[i][j]] for i in range(n)]
+    scale = [d[i] / dens[i] ** 2 for i in range(n)]
     best: List[Optional[Fraction]] = [None]
     witness: List[Optional[List[int]]] = [None]
     x = [0] * n
@@ -315,6 +348,8 @@ def _min_norm_search(
         if i < 0:
             if skip_zero and all(v == 0 for v in x):
                 return
+            if collect is not None:
+                collect.append(list(x))
             if best[0] is None or used < best[0]:
                 best[0] = used
                 witness[0] = list(x)
@@ -322,16 +357,17 @@ def _min_norm_search(
         budget = (bound if best[0] is None else min(bound, best[0])) - used
         if budget < 0:
             return
-        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
+        # the real minimizer is center / den
+        center, den = -sum(c * x[j] for j, c in nums[i]), dens[i]
         # nearest admissible integer to the real minimizer
-        t0 = round(center)
+        t0 = (2 * center + den) // (2 * den)
         if parity is not None and (t0 - parity[i]) % 2 != 0:
-            t0 += 1 if center >= t0 else -1
+            t0 += 1 if center >= t0 * den else -1
         step = 2 if parity is not None else 1
         for direction in (step, -step):
             t = t0 if direction > 0 else t0 - step
             while True:
-                cost = d[i] * (t - center) ** 2
+                cost = scale[i] * (t * den - center) ** 2
                 if cost > budget:
                     break
                 x[i] = t
@@ -354,13 +390,11 @@ def _ordered_by_diagonal(m: Matrix) -> Tuple[Matrix, List[int]]:
     return pm, order
 
 
-def theta_invariant(q: IntegerQuadraticForm) -> int:
-    """Theta(q) = rk(q) + max q(xi, xi) over characteristic vectors xi,
-    for q negative definite and unimodular."""
-    if not q.is_negative_definite():
-        raise ValueError("theta_invariant requires a negative definite form")
-    if not q.is_unimodular():
-        raise ValueError("theta_invariant requires a unimodular form")
+def _theta_search(q: IntegerQuadraticForm) -> int:
+    """rk(q) + max q(xi, xi) over characteristic xi, by branch-and-bound
+    over the whole coset xi0 + 2 Lambda of a negative definite unimodular
+    q.  Production runs it only on an odd split residual; on full forms it
+    is the oracle of the tests and `seifinv verify lattice`."""
     n = q.rank
     if n == 0:
         return 0
@@ -376,7 +410,33 @@ def theta_invariant(q: IntegerQuadraticForm) -> int:
     norm, _ = _min_norm_search(d, u, parity, start)
     if norm is None or norm.denominator != 1:
         raise InvariantError(f"characteristic minimum {norm} is not an integer")
-    theta = n - int(norm)
+    return n - int(norm)
+
+
+def _require_negative_unimodular(q: IntegerQuadraticForm, caller: str) -> None:
+    if not q.is_negative_definite():
+        raise ValueError(f"{caller} requires a negative definite form")
+    if not q.is_unimodular():
+        raise ValueError(f"{caller} requires a unimodular form")
+
+
+def theta_invariant(q: IntegerQuadraticForm) -> int:
+    """Theta(q) = rk(q) + max q(xi, xi) over characteristic vectors xi,
+    for q negative definite and unimodular.
+
+    Theta adds over orthogonal sums, Theta(<-1>) = 0 and Theta(even) = rk,
+    so Theta(q) is Theta of the residual of the <-1> split: 0 when the
+    split is complete, rk R for an even residual R, and otherwise the
+    characteristic search on R alone."""
+    _require_negative_unimodular(q, "theta_invariant")
+    n = q.rank
+    _, residual = _split(q)
+    if residual is None:
+        theta = 0
+    elif is_even(residual):
+        theta = residual.rank
+    else:
+        theta = _theta_search(residual)
     if theta % 8 != 0:
         raise InvariantError(f"Theta = {theta} must be divisible by 8")
     if not 0 <= theta <= n:
@@ -386,22 +446,22 @@ def theta_invariant(q: IntegerQuadraticForm) -> int:
     return theta
 
 
-def _norm_one_vector(q: IntegerQuadraticForm) -> Optional[List[int]]:
-    """An integer vector v with q(v, v) = -1, or None."""
-    minus = _negate(q.matrix)
-    d, u = _ldl(minus)
-    norm, witness = _min_norm_search(d, u, None, Fraction(1), skip_zero=True)
-    if norm == 1:
-        return witness
-    return None
+def _norm_one_vectors(q: IntegerQuadraticForm) -> List[List[int]]:
+    """Every integer vector v with q(v, v) = -1, both signs, from one
+    exhaustive Fincke-Pohst enumeration of -q(x, x) <= 1."""
+    d, u = q._cache["ldl"]
+    found: List[List[int]] = []
+    _min_norm_search(d, u, None, Fraction(1), skip_zero=True, collect=found)
+    return found
 
 
-def _kernel_basis_of_functional(c: List[int]) -> List[List[int]]:
-    """Basis of {x : sum c_i x_i = 0} for a primitive integer covector c
-    (gcd of entries 1), via unimodular column reduction."""
+def _kernel_basis_of_functional(c: List[int], cols: List[List[int]]) -> List[List[int]]:
+    """Basis of {sum_j y_j cols[j] : sum_j c_j y_j = 0} for a primitive
+    integer covector c (gcd of entries 1), via unimodular column
+    reduction."""
     n = len(c)
     work = list(c)
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j] = basis vec
+    cols = list(cols)
     while True:
         nz = [j for j in range(n) if work[j] != 0]
         if len(nz) <= 1:
@@ -417,50 +477,60 @@ def _kernel_basis_of_functional(c: List[int]) -> List[List[int]]:
     return [cols[j] for j in range(n) if j != pivot]
 
 
-def _orthogonal_complement(q: IntegerQuadraticForm, v: List[int]) -> IntegerQuadraticForm:
-    """Gram matrix of q restricted to the orthogonal complement of a
-    q-norm -1 vector v; the complement is again unimodular."""
+def _dot(v: Sequence[int], w: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(v, w))
+
+
+def _times(m: Matrix, v: Sequence[int]) -> List[int]:
+    return [_dot(row, v) for row in m]
+
+
+def _identity(n: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]]:
+    """q = <-1>^k + R with R free of norm -1 vectors, computed once per
+    form and cached on it; (k, R), with R = None when it is empty."""
+    if "split" in q._cache:
+        return q._cache["split"]
     n = q.rank
-    pairings = [sum(q.matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
-    basis = _kernel_basis_of_functional(pairings)
-    g = [
-        [
-            sum(bi[r] * q.matrix[r][s] * bj[s] for r in range(n) for s in range(n))
-            for bj in basis
-        ]
-        for bi in basis
-    ]
-    out = IntegerQuadraticForm(_freeze(g))
-    if not out.is_unimodular():
-        raise InvariantError("complement of a unimodular vector must be unimodular")
-    return out
+    found = _norm_one_vectors(q)
+    if len(found) % 2:
+        raise InvariantError(f"{len(found)} norm -1 vectors: they must come in +- pairs")
+    # one representative per pair: first nonzero coordinate positive
+    reps = [v for v in found if next(t for t in v if t) > 0]
+    # the n x k products q v give every pairing below in O(n) each
+    pairings = [_times(q.matrix, v) for v in reps]
+    for a, p in enumerate(pairings):
+        for b, v in enumerate(reps):
+            if _dot(p, v) != (-1 if a == b else 0):
+                raise InvariantError("norm -1 representatives must be pairwise orthogonal")
+    basis = _identity(n)
+    for p in pairings:
+        basis = _kernel_basis_of_functional([_dot(p, b) for b in basis], basis)
+    residual = None
+    if basis:
+        qb = [_times(q.matrix, b) for b in basis]
+        residual = IntegerQuadraticForm(_freeze([[_dot(b, c) for c in qb] for b in basis]))
+        if not residual.is_unimodular():
+            raise InvariantError("the complement of the <-1> summands must be unimodular")
+    q._cache["split"] = (len(reps), residual)
+    return q._cache["split"]
 
 
 def hnk_split_diagonalize(
     q: IntegerQuadraticForm,
 ) -> Tuple[int, Optional[IntegerQuadraticForm]]:
-    """Split off <-1> summands while norm -1 vectors exist.
+    """Split off every <-1> summand at once: q = <-1>^k + R.
 
-    Returns (number of <-1> summands, residual form or None).  The
-    residual, when present, contains no vectors of norm -1; for the
-    plumbing families computed here it is even (and -E8-isometric when of
-    rank 8).
-    """
-    if not q.is_negative_definite():
-        raise ValueError("hnk_split_diagonalize requires a negative definite form")
-    if not q.is_unimodular():
-        raise ValueError("hnk_split_diagonalize requires a unimodular form")
-    diag_rank = 0
-    current = q
-    while current.rank > 0:
-        v = _norm_one_vector(current)
-        if v is None:
-            break
-        current = _orthogonal_complement(current, v)
-        diag_rank += 1
-    if current.rank == 0:
-        return diag_rank, None
-    return diag_rank, current
+    Returns (k, R or None).  The norm -1 vectors come from one enumeration,
+    and R, their orthogonal complement, contains no vectors of norm -1;
+    for the plumbing families computed here it is even (and -E8-isometric
+    when of rank 8).  The split is cached on q, so a following
+    `theta_invariant(q)` reuses it."""
+    _require_negative_unimodular(q, "hnk_split_diagonalize")
+    return _split(q)
 
 
 def is_minus_e8(q: IntegerQuadraticForm) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seifinv import dedekind, swfloer
+from seifinv import dedekind, lattice, swfloer
 from seifinv.cli import PLUMBING_237, main
 from seifinv.swfloer import LaurentPolynomial
 
@@ -237,7 +237,11 @@ def test_verify_suites_pass(capsys):
         (("eta-consistency", "--seed", "3", "--cases", "60"), "seed 3, 50 cases"),
         (("froyshov-table",), "9 triples"),
         (("families", "--k-max", "6"), "Sigma(2,3,6k+-1) for k = 1..6, 12 triples"),
-        (("lattice",), "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings"),
+        (
+            ("lattice",),
+            "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings, "
+            "Theta against the full-rank search on 6 forms",
+        ),
     ]:
         assert run(capsys, "verify", *argv) == (0, f"verify {argv[0]}: ok ({checked})\n")
 
@@ -290,6 +294,18 @@ def test_oversized_triple_exit_2():
     assert "exceeds" in proc.stderr and proc.stdout == ""
 
 
+def test_oversized_plumbing_exit_2():
+    # rank 16674: the 2.8e8-cell intersection form must be refused from the
+    # plumbing graph alone, before any matrix is built
+    proc = _python(
+        "-m", "seifinv.cli", "plumbing", "--brieskorn", "2,3,100001", limit_bytes=1 << 30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("seifinv: error:")]
+    assert len(errors) == 1 and "rank 16674 exceeds" in errors[0]
+
+
 def test_report_row_check_survives_optimize():
     code = (
         "from fractions import Fraction\n"
@@ -312,6 +328,21 @@ def test_invariant_error_exit_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "invariant check failed" in captured.err
+
+
+def test_verify_lattice_catches_wrong_split(capsys, monkeypatch):
+    # a split that loses the odd residual of Sigma(3,11,13) (rank 13) gives
+    # Theta = 0, which only the full-rank oracle can tell from 8
+    split = lattice._split
+
+    def drops_residual(q):
+        k, residual = split(q)
+        return (k, None) if q.rank == 13 else (k, residual)
+
+    monkeypatch.setattr(lattice, "_split", drops_residual)
+    code, out = run(capsys, "verify", "lattice")
+    assert code == 1
+    assert "(3, 11, 13)" in out and "full-rank search gives 8" in out
 
 
 def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):

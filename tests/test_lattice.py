@@ -1,13 +1,24 @@
 """Plumbing forms, the Theta invariant and the splitting of <-1> summands."""
 
+import json
 import random
+import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from seifinv.cli import PLUMBING_237
+from seifinv import lattice
+from seifinv.cli import PLUMBING_237, main
 from seifinv.lattice import (
     IntegerQuadraticForm,
+    _identity,
+    _kernel_basis_of_functional,
+    _ldl,
+    _min_norm_search,
+    _negate,
+    _norm_one_vectors,
+    _theta_search,
     diagonal_form,
     direct_sum,
     form_inverse,
@@ -20,6 +31,7 @@ from seifinv.lattice import (
     plumbing_graph,
     theta_invariant,
 )
+from seifinv.numkernel import InvariantError
 
 GOLDEN_B = (
     (-42, -21, -14, -6),
@@ -237,3 +249,118 @@ def test_theta_bounded_by_Z_across_table():
         z = froyshov_Z(*t)
         assert 0 <= theta <= z, t
         assert theta == z, t
+
+
+def _oracle_conjugates(rng):
+    """Random unimodular conjugates, all of rank <= 15, of <-1>^k + -E8,
+    of <-1>^k + the odd norm-1-free form of Sigma(3,5,7), and of plumbing
+    forms."""
+    forms = [direct_sum(diagonal_form([-1] * k), minus_e8()) for k in range(5)]
+    forms += [direct_sum(diagonal_form([-1] * k), plumbing_form(3, 5, 7)) for k in range(4)]
+    for t in ((2, 3, 11), (2, 3, 13), (3, 11, 13), (5, 6, 11), (2, 7, 11), (4, 5, 9), (2, 3, 47)):
+        forms.append(plumbing_form(*t))
+    for base in forms:
+        assert base.rank <= 15
+        yield base, _conjugate(base, _random_unimodular(rng, base.rank, steps=6))
+
+
+def test_theta_through_split_matches_full_rank_search():
+    rng = random.Random(23)
+    for base, q in _oracle_conjugates(rng):
+        assert abs(q.determinant) == 1
+        assert theta_invariant(q) == _theta_search(q) == _theta_search(base)
+
+
+def _split_one_round_at_a_time(q):
+    """The <-1> split as one single norm-1 search per summand, each on the
+    complement of the vector found before; returns (rounds, residual)."""
+    rounds = 0
+    while q.rank:
+        d, u = _ldl(_negate(q.matrix))
+        norm, v = _min_norm_search(d, u, None, Fraction(1), skip_zero=True)
+        if norm != 1:
+            break
+        n = q.rank
+        pairing = [sum(q.matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
+        basis = _kernel_basis_of_functional(pairing, _identity(n))
+        gram = [
+            [sum(a[r] * q.matrix[r][s] * b[s] for r in range(n) for s in range(n)) for b in basis]
+            for a in basis
+        ]
+        q = IntegerQuadraticForm(tuple(tuple(row) for row in gram))
+        rounds += 1
+    return rounds, q
+
+
+def test_split_from_one_enumeration_matches_rounds():
+    rng = random.Random(29)
+    for _, q in _oracle_conjugates(rng):
+        rounds, oracle_residual = _split_one_round_at_a_time(q)
+        diag_rank, residual = hnk_split_diagonalize(q)
+        assert diag_rank == rounds
+        assert len(_norm_one_vectors(q)) == 2 * diag_rank
+        rank = 0 if residual is None else residual.rank
+        assert diag_rank + rank == q.rank == rounds + oracle_residual.rank
+        if residual is not None:
+            assert _split_one_round_at_a_time(residual)[0] == 0  # no norm -1 vector
+            assert q.determinant == (-1) ** diag_rank * residual.determinant
+            assert is_even(residual) == is_even(oracle_residual)
+
+
+def test_plumbing_theta_diagonalize_rank_39_fast(capsys):
+    start = time.perf_counter()
+    assert main(["plumbing", "--brieskorn", "2,3,191", "--theta", "--diagonalize"]) == 0
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert out["rank"] == 39 and out["theta"] == 8 and out["diagonal_rank"] == 31
+    assert out["residual"] == {"rank": 8, "even": True, "is_minus_e8": True}
+    assert elapsed < 2.0
+
+
+def test_split_computed_once_per_form(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q.rank)
+        return _norm_one_vectors(q)
+
+    monkeypatch.setattr(lattice, "_norm_one_vectors", counted)
+    q = plumbing_form(2, 3, 65)
+    assert theta_invariant(q) == 8
+    assert hnk_split_diagonalize(q)[0] == 10
+    assert calls == [18]
+
+
+def test_theta_of_split_needs_no_search(monkeypatch):
+    # a complete split or an even residual gives Theta without a search
+    def refuse(q):
+        raise AssertionError("characteristic search on an even or empty residual")
+
+    monkeypatch.setattr(lattice, "_theta_search", refuse)
+    assert theta_invariant(plumbing_form(2, 3, 95)) == 8
+    assert theta_invariant(plumbing_form(2, 3, 97)) == 0
+
+
+def test_split_refuses_unpaired_norm_one_vectors(monkeypatch):
+    monkeypatch.setattr(lattice, "_norm_one_vectors", lambda q: [[1, 0], [-1, 0], [0, 1]])
+    with pytest.raises(InvariantError, match="pairs"):
+        hnk_split_diagonalize(diagonal_form([-1, -1]))
+
+
+def test_split_refuses_repeated_representative(monkeypatch):
+    # an enumeration that met +-e_1 twice would split <-1> off twice
+    monkeypatch.setattr(lattice, "_norm_one_vectors", lambda q: [[1, 0], [-1, 0]] * 2)
+    with pytest.raises(InvariantError, match="orthogonal"):
+        hnk_split_diagonalize(diagonal_form([-1, -1]))
+
+
+def test_split_refuses_non_unimodular_residual(monkeypatch):
+    kernel = lattice._kernel_basis_of_functional
+
+    def doubled(c, cols):
+        basis = kernel(c, cols)
+        return [[2 * x for x in basis[0]]] + basis[1:]
+
+    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", doubled)
+    with pytest.raises(InvariantError, match="unimodular"):
+        hnk_split_diagonalize(direct_sum(diagonal_form([-1]), minus_e8()))
