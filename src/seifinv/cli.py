@@ -141,11 +141,6 @@ class ReportRow:
             )
 
 
-@dataclass(frozen=True)
-class Report:
-    rows: Tuple[ReportRow, ...]
-
-
 def compute_row(a: int, b: int, c: int) -> ReportRow:
     P = swf.poincare_polynomial(a, b, c)
     F = eta_mod.froyshov_F(brieskorn(a, b, c))
@@ -153,37 +148,35 @@ def compute_row(a: int, b: int, c: int) -> ReportRow:
     return ReportRow((a, b, c), F, eight_m, eight_m + F, P)
 
 
-def _report_json(report: Report) -> str:
-    return json.dumps(
-        [
-            {
-                "triple": list(r.triple),
-                "F": _fmt(r.F),
-                "eight_m": r.eight_m,
-                "Z": _fmt(r.Z),
-                "P": r.P.to_json(),
-            }
-            for r in report.rows
-        ],
-        indent=2,
-    )
+def _row_json(r: ReportRow) -> dict:
+    return {
+        "triple": list(r.triple),
+        "F": _fmt(r.F),
+        "eight_m": r.eight_m,
+        "Z": _fmt(r.Z),
+        "P": r.P.to_json(),
+    }
 
 
-def _report_csv(report: Report) -> str:
+def _report_json(rows: Sequence[ReportRow]) -> str:
+    return json.dumps([_row_json(r) for r in rows], indent=2)
+
+
+def _report_csv(rows: Sequence[ReportRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["a", "b", "c", "F", "eight_m", "Z", "P"])
-    for r in report.rows:
+    for r in rows:
         writer.writerow([*r.triple, _fmt(r.F), r.eight_m, _fmt(r.Z), str(r.P)])
     return buf.getvalue().rstrip("\n")
 
 
-def _report_latex(report: Report) -> str:
+def _report_latex(rows: Sequence[ReportRow]) -> str:
     lines = [
         r"\begin{tabular}{||c|c|c|c||} \hline",
         r"$(a,b,c)$    & ${\bf F}$ &  $8m$   & $Z$   \\ \hline\hline",
     ]
-    for r in report.rows:
+    for r in rows:
         a, b, c = r.triple
         lines.append(
             f"$({a},{b},{c})$    &  ${_fmt(r.F)}$    &  ${r.eight_m}$    & ${_fmt(r.Z)}$     \\\\ \\hline"
@@ -192,9 +185,9 @@ def _report_latex(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _report_text(report: Report) -> str:
+def _report_text(rows: Sequence[ReportRow]) -> str:
     lines = [f"{'(a,b,c)':>14} {'F':>8} {'8m':>4} {'Z':>6}  P"]
-    for r in report.rows:
+    for r in rows:
         lines.append(
             f"{str(r.triple):>14} {_fmt(r.F):>8} {r.eight_m:>4} {_fmt(r.Z):>6}  {r.P}"
         )
@@ -334,18 +327,7 @@ def _cmd_froyshov(args, parser) -> int:
         row = compute_row(a, b, c)
     except ValueError as exc:
         parser.error(f"--brieskorn {args.brieskorn!r}: {exc}")
-    print(
-        json.dumps(
-            {
-                "triple": [a, b, c],
-                "F": _fmt(row.F),
-                "eight_m": row.eight_m,
-                "Z": _fmt(row.Z),
-                "P": row.P.to_json(),
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(_row_json(row), indent=2))
     return 0
 
 
@@ -389,15 +371,14 @@ def _cmd_table(args, parser) -> int:
             rows.append(compute_row(a, b, c))
         except ValueError as exc:
             parser.error(f"triple ({a},{b},{c}): {exc}")
-    report = Report(tuple(rows))
     if args.json:
-        print(_report_json(report))
+        print(_report_json(rows))
     elif args.csv:
-        print(_report_csv(report))
+        print(_report_csv(rows))
     elif args.latex:
-        print(_report_latex(report))
+        print(_report_latex(rows))
     else:
-        print(_report_text(report))
+        print(_report_text(rows))
     return 0
 
 

@@ -10,6 +10,12 @@ smooth degree b of the Seifert data and whose i-th arm carries weights
 The resulting symmetric integer matrix is negative definite and
 unimodular.
 
+Factorisation.  The exact LDL of -q, computed once and cached on the
+form, is its only factorisation.  It decides negative definiteness
+(every pivot d_i > 0), gives the determinant det q = (-1)^n prod d_i and
+with it unimodularity, and drives the enumeration of the norm -1
+vectors below.
+
 Theta invariant.  For a negative definite unimodular form q,
 
     Theta(q) = rk(q) + max { q(xi, xi) : xi characteristic },
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from seifinv.numkernel import InvariantError
@@ -51,7 +57,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 #: are refused with ValueError.  The n x n matrix then has at most
 #: 4 * 10^6 cells, and a command holds about three such arrays at once
 #: (the form, its negation and the Fraction LDL), about 10^7 cells: at
-#: rank 2000 that peaks near 420 MB.  Sigma(2,3,c) has rank about c/6.
+#: rank 2000 that peaks near 420 MB, and `plumbing` takes about 15 s,
+#: nearly all of it in the one LDL.  Memory, not time, sets the limit.
+#: Sigma(2,3,c) has rank about c/6.
 MAX_PLUMBING_RANK = 2000
 
 
@@ -81,27 +89,31 @@ class IntegerQuadraticForm:
     def rank(self) -> int:
         return len(self.matrix)
 
-    @property
-    def determinant(self) -> int:
-        if "det" not in self._cache:
-            self._cache["det"] = _det_bareiss(self.matrix)
-        return self._cache["det"]
+    def _negated_ldl(self) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
+        """The LDL of -q, the form's only factorisation, computed once and
+        cached; None when q is not negative definite."""
+        if "ldl" not in self._cache:
+            try:
+                self._cache["ldl"] = _ldl(_negate(self.matrix))
+            except ValueError:
+                self._cache["ldl"] = None
+        return self._cache["ldl"]
 
     def is_negative_definite(self) -> bool:
-        if "negdef" not in self._cache:
-            try:
-                # the LDL of -q is kept for the enumeration of the <-1> split
-                self._cache["ldl"] = _ldl(_negate(self.matrix))
-                self._cache["negdef"] = True
-            except ValueError:
-                self._cache["negdef"] = False
-        return self._cache["negdef"]
+        return self._negated_ldl() is not None
+
+    @property
+    def determinant(self) -> int:
+        """det q = (-1)^n prod d_i over the pivots of the LDL of -q; raises
+        ValueError when q is not negative definite."""
+        ldl = self._negated_ldl()
+        if ldl is None:
+            raise ValueError("the determinant is read from the LDL of a negative definite form")
+        return (-1) ** self.rank * int(prod(ldl[0]))
 
     def is_unimodular(self) -> bool:
+        """|det q| = 1, for q negative definite (ValueError otherwise)."""
         return abs(self.determinant) == 1
-
-    def evaluate(self, v: Sequence[int]) -> int:
-        return sum(v[i] * self.matrix[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
     def __hash__(self):
         return hash(self.matrix)
@@ -212,30 +224,6 @@ def diagonal_form(entries: Sequence[int]) -> IntegerQuadraticForm:
 
 def _negate(m: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
-
-
-def _det_bareiss(m: Matrix) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _ldl(m: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
@@ -449,7 +437,7 @@ def theta_invariant(q: IntegerQuadraticForm) -> int:
 def _norm_one_vectors(q: IntegerQuadraticForm) -> List[List[int]]:
     """Every integer vector v with q(v, v) = -1, both signs, from one
     exhaustive Fincke-Pohst enumeration of -q(x, x) <= 1."""
-    d, u = q._cache["ldl"]
+    d, u = q._negated_ldl()
     found: List[List[int]] = []
     _min_norm_search(d, u, None, Fraction(1), skip_zero=True, collect=found)
     return found
@@ -513,8 +501,10 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
     if basis:
         qb = [_times(q.matrix, b) for b in basis]
         residual = IntegerQuadraticForm(_freeze([[_dot(b, c) for c in qb] for b in basis]))
-        if not residual.is_unimodular():
-            raise InvariantError("the complement of the <-1> summands must be unimodular")
+        if not (residual.is_negative_definite() and residual.is_unimodular()):
+            raise InvariantError(
+                "the complement of the <-1> summands must be negative definite and unimodular"
+            )
     q._cache["split"] = (len(reps), residual)
     return q._cache["split"]
 
@@ -538,7 +528,7 @@ def is_minus_e8(q: IntegerQuadraticForm) -> bool:
     rank 8, even, unimodular (these characterize it)."""
     return (
         q.rank == 8
-        and q.is_unimodular()
         and is_even(q)
         and q.is_negative_definite()
+        and q.is_unimodular()
     )

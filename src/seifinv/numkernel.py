@@ -124,15 +124,6 @@ def _as_mpf(x: Rational) -> mpmath.mpf:
     return mp.mpf(x)
 
 
-def _exact_special_value(s: Rational) -> "Fraction | None":
-    """Detect s = 0 / s = -1 exactly."""
-    if s == 0:
-        return Fraction(0)
-    if s == -1:
-        return Fraction(-1)
-    return None
-
-
 def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
     x = Fraction(x)
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
@@ -154,10 +145,9 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     a = Fraction(a)
     if a <= 0:
         raise ValueError(f"hurwitz_zeta requires a > 0, got a = {a}")
-    special = _exact_special_value(s)
-    if special == 0:
+    if s == 0:
         return bigfloat_from_rational(Fraction(1, 2) - a, precision)
-    if special == -1:
+    if s == -1:
         return bigfloat_from_rational(Fraction(-1, 12) + a * (1 - a) / 2, precision)
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         s_mpf = _as_mpf(s)

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -168,6 +168,38 @@ def _conjugate(q: IntegerQuadraticForm, u):
     return IntegerQuadraticForm(tuple(tuple(row) for row in m))
 
 
+def test_determinant_from_pivots_on_conjugates():
+    # det is invariant under unimodular base change, so a conjugate of a
+    # diagonal form keeps the product of its entries
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(30):
+        entries = [rng.randint(-5, -1) for _ in range(rng.randint(1, 6))]
+        q = _conjugate(diagonal_form(entries), _random_unimodular(rng, len(entries)))
+        assert q.determinant == prod(entries)
+        assert q.is_unimodular() == all(e == -1 for e in entries)
+        seen.add(abs(q.determinant) > 1)
+    assert seen == {True, False}
+
+
+def test_determinant_refuses_indefinite_form():
+    q = diagonal_form([1, -1])
+    with pytest.raises(ValueError):
+        q.determinant
+    with pytest.raises(ValueError):
+        q.is_unimodular()
+    assert not q.is_negative_definite()
+
+
+def test_is_minus_e8_rejects_other_even_unimodular_rank_8():
+    plus_e8 = IntegerQuadraticForm(_negate(minus_e8().matrix))
+    h = IntegerQuadraticForm(((0, 1), (1, 0)))
+    h4 = direct_sum(direct_sum(h, h), direct_sum(h, h))
+    for q in (plus_e8, h4):
+        assert q.rank == 8 and is_even(q)
+        assert not is_minus_e8(q)
+
+
 def test_theta_invariance_under_base_change():
     rng = random.Random(7)
     for base in (diagonal_form([-1, -1, -1]), minus_e8(), plumbing_form(2, 3, 11)):
@@ -317,6 +349,17 @@ def test_plumbing_theta_diagonalize_rank_39_fast(capsys):
     assert elapsed < 2.0
 
 
+def test_plumbing_rank_703_fast(capsys):
+    # one LDL gives definiteness and the determinant; with a second,
+    # dense elimination for det this command took about 20 s on 2 CPUs
+    start = time.perf_counter()
+    assert main(["plumbing", "--brieskorn", "2,3,4201"]) == 0
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert out["rank"] == 703 and out["det"] == -1
+    assert elapsed < 8.0
+
+
 def test_split_computed_once_per_form(monkeypatch):
     calls = []
 
@@ -363,4 +406,16 @@ def test_split_refuses_non_unimodular_residual(monkeypatch):
 
     monkeypatch.setattr(lattice, "_kernel_basis_of_functional", doubled)
     with pytest.raises(InvariantError, match="unimodular"):
+        hnk_split_diagonalize(direct_sum(diagonal_form([-1]), minus_e8()))
+
+
+def test_split_refuses_singular_residual(monkeypatch):
+    kernel = lattice._kernel_basis_of_functional
+
+    def repeated(c, cols):
+        basis = kernel(c, cols)
+        return basis[:-1] + [basis[0]]
+
+    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", repeated)
+    with pytest.raises(InvariantError, match="negative definite"):
         hnk_split_diagonalize(direct_sum(diagonal_form([-1]), minus_e8()))
