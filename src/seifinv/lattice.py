@@ -13,8 +13,8 @@ unimodular.
 Factorisation.  The exact LDL of -q, computed once and cached on the
 form, is its only factorisation.  It decides negative definiteness
 (every pivot d_i > 0), gives the determinant det q = (-1)^n prod d_i and
-with it unimodularity, and drives the enumeration of the norm -1
-vectors below.
+with it unimodularity, and drives both searches below: the enumeration
+of the norm -1 vectors and the characteristic search.
 
 Theta invariant.  For a negative definite unimodular form q,
 
@@ -27,18 +27,19 @@ attained iff q is even, and vanishes iff q is diagonalizable (Elkies,
 sums, with Theta(<-1>) = 0 and Theta(even) = rk, so it is computed from
 the split below: 0 for a complete split, rk R for an even residual R, and
 otherwise a depth-first branch-and-bound over the characteristic coset
-xi0 + 2 R of the residual alone, pruned through the exact triangular
-decomposition of -R, visiting coordinates in decreasing diagonal
-magnitude.
+xi0 + 2 R of the residual alone, pruned through the cached LDL of -R and
+visiting coordinates in R's own order, the last one first.
 
 Splitting.  Write q = <-1>^k + R with R free of norm -1 vectors.  The
 norm -1 vectors of q are then exactly +-e_1, ..., +-e_k, pairwise
 orthogonal, so one exhaustive Fincke-Pohst enumeration of the vectors of
 norm -1 finds all k summands at once, and R is the common kernel of their
 k pairings, again unimodular.  The split is computed once per form and
-cached on it.  For the Brieskorn families treated here the residual is
-either empty or isometric to -E8, which is recognized by its invariants
-(rank 8, even, unimodular, negative definite).
+cached on it.  The residual of a plumbing form may be empty, even or odd:
+Sigma(2,3,7) splits completely, Sigma(2,7,13) leaves an even residual of
+rank 16 and Sigma(3,5,7) an odd one of rank 12.  A residual -E8, as for
+Sigma(2,3,5), is recognized by its invariants (rank 8, even, unimodular,
+negative definite).
 """
 
 from __future__ import annotations
@@ -320,7 +321,9 @@ def _min_norm_search(
 
     Depth-first from the last coordinate with exact zig-zag enumeration:
     at each level candidates move outward from the real minimizer until
-    the level cost alone exhausts the remaining budget.
+    the level cost alone exhausts the remaining budget.  The descent keeps
+    one candidate generator per assigned level on an explicit stack, so
+    the rank is not bounded by the recursion limit.
     """
     n = len(d)
     # row i as u_ij = num_ij / den_i over its nonzero entries, so each
@@ -328,22 +331,26 @@ def _min_norm_search(
     dens = [lcm(*(f.denominator for f in u[i][i + 1:])) for i in range(n)]
     nums = [[(j, int(u[i][j] * dens[i])) for j in range(i + 1, n) if u[i][j]] for i in range(n)]
     scale = [d[i] / dens[i] ** 2 for i in range(n)]
-    best: List[Optional[Fraction]] = [None]
-    witness: List[Optional[List[int]]] = [None]
+    step = 2 if parity is not None else 1
+    best: Optional[Fraction] = None
+    witness: Optional[List[int]] = None
+    # no vector above min(bound, best) is visited
+    limit = bound
     x = [0] * n
 
-    def descend(i: int, used: Fraction) -> None:
+    def level(i: int, used: Fraction):
+        """Yield (x_i, used + cost) for every admissible x_i within the
+        limit, read afresh after each subtree since best may shrink; below
+        coordinate 0, record the complete vector x instead."""
+        nonlocal best, witness, limit
         if i < 0:
-            if skip_zero and all(v == 0 for v in x):
+            if skip_zero and not any(x):
                 return
             if collect is not None:
                 collect.append(list(x))
-            if best[0] is None or used < best[0]:
-                best[0] = used
-                witness[0] = list(x)
-            return
-        budget = (bound if best[0] is None else min(bound, best[0])) - used
-        if budget < 0:
+            if best is None or used < best:
+                best, witness = used, list(x)
+                limit = min(bound, best)
             return
         # the real minimizer is center / den
         center, den = -sum(c * x[j] for j, c in nums[i]), dens[i]
@@ -351,50 +358,39 @@ def _min_norm_search(
         t0 = (2 * center + den) // (2 * den)
         if parity is not None and (t0 - parity[i]) % 2 != 0:
             t0 += 1 if center >= t0 * den else -1
-        step = 2 if parity is not None else 1
         for direction in (step, -step):
             t = t0 if direction > 0 else t0 - step
             while True:
-                cost = scale[i] * (t * den - center) ** 2
-                if cost > budget:
+                total = used + scale[i] * (t * den - center) ** 2
+                if total > limit:
                     break
-                x[i] = t
-                descend(i - 1, used + cost)
-                # best may have shrunk; recompute the admissible window
-                budget = (bound if best[0] is None else min(bound, best[0])) - used
+                yield t, total
                 t += direction
-        x[i] = 0
 
-    descend(n - 1, Fraction(0))
-    return best[0], witness[0]
-
-
-def _ordered_by_diagonal(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Symmetric permutation so the search assigns coordinates of largest
-    |diagonal| first (the last index is assigned first)."""
-    n = len(m)
-    order = sorted(range(n), key=lambda i: abs(m[i][i]))
-    pm = tuple(tuple(m[order[i]][order[j]] for j in range(n)) for i in range(n))
-    return pm, order
+    stack = [level(n - 1, Fraction(0))]
+    while stack:
+        found = next(stack[-1], None)
+        if found is None:
+            stack.pop()
+            continue
+        i = n - len(stack)
+        x[i], used = found
+        stack.append(level(i - 1, used))
+    return best, witness
 
 
 def _theta_search(q: IntegerQuadraticForm) -> int:
     """rk(q) + max q(xi, xi) over characteristic xi, by branch-and-bound
     over the whole coset xi0 + 2 Lambda of a negative definite unimodular
-    q.  Production runs it only on an odd split residual; on full forms it
-    is the oracle of the tests and `seifinv verify lattice`."""
+    q, on the form's cached LDL of -q in the form's own coordinate order.
+    Production runs it only on an odd split residual; on full forms it is
+    the oracle of the tests and `seifinv verify lattice`."""
     n = q.rank
-    if n == 0:
-        return 0
-    m, order = _ordered_by_diagonal(q.matrix)
-    parity_orig = _solve_parity(q.matrix)
-    parity = [parity_orig[order[i]] for i in range(n)]
-    minus = _negate(m)
-    d, u = _ldl(minus)
-    # a valid characteristic vector gives the initial bound
-    start = Fraction(
-        sum(minus[i][j] * parity[i] * parity[j] for i in range(n) for j in range(n))
-    )
+    d, u = q._negated_ldl()
+    parity = _solve_parity(q.matrix)
+    # the characteristic vector xi0 = parity gives the initial bound -q(xi0)
+    ones = [i for i in range(n) if parity[i]]
+    start = Fraction(-sum(q.matrix[i][j] for i in ones for j in ones))
     norm, _ = _min_norm_search(d, u, parity, start)
     if norm is None or norm.denominator != 1:
         raise InvariantError(f"characteristic minimum {norm} is not an integer")
@@ -515,9 +511,9 @@ def hnk_split_diagonalize(
     """Split off every <-1> summand at once: q = <-1>^k + R.
 
     Returns (k, R or None).  The norm -1 vectors come from one enumeration,
-    and R, their orthogonal complement, contains no vectors of norm -1;
-    for the plumbing families computed here it is even (and -E8-isometric
-    when of rank 8).  The split is cached on q, so a following
+    and R, their orthogonal complement, contains no vectors of norm -1.
+    R may be even (-E8 when of rank 8, as for Sigma(2,3,6k-1)) or odd
+    (rank 12 for Sigma(3,5,7)).  The split is cached on q, so a following
     `theta_invariant(q)` reuses it."""
     _require_negative_unimodular(q, "hnk_split_diagonalize")
     return _split(q)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -14,7 +15,6 @@ from seifinv.lattice import (
     IntegerQuadraticForm,
     _identity,
     _kernel_basis_of_functional,
-    _ldl,
     _min_norm_search,
     _negate,
     _norm_one_vectors,
@@ -268,19 +268,39 @@ def test_hnk_diagonal():
     assert hnk_split_diagonalize(diagonal_form([-1] * 6)) == (6, None)
 
 
+def _coprime_triples_rank_at_most_20():
+    """Every pairwise coprime a < b < c < 30 whose plumbing has rank <= 20
+    (838 triples)."""
+    return [
+        (a, b, c)
+        for a in range(2, 30)
+        for b in range(a + 1, 30)
+        for c in range(b + 1, 30)
+        if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1 and plumbing_graph(a, b, c).rank <= 20
+    ]
+
+
 def test_theta_bounded_by_Z_across_table():
     # the plumbing bounds the sphere, so its Theta can never exceed the
-    # Floer-theoretic bound Z; on these rows the two agree
+    # Floer-theoretic bound Z; on the paper's rows and on a seeded sample
+    # of small triples the two agree
     from seifinv.swfloer import froyshov_Z
 
-    for t in [
+    paper = [
         (2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13), (2, 3, 17),
         (3, 5, 7), (3, 5, 11), (3, 5, 13), (5, 7, 9),
-    ]:
-        theta = theta_invariant(plumbing_form(*t))
+    ]
+    sample = random.Random(37).sample(_coprime_triples_rank_at_most_20(), 30)
+    residuals = set()
+    for t in paper + sample:
+        q = plumbing_form(*t)
+        theta = theta_invariant(q)
         z = froyshov_Z(*t)
         assert 0 <= theta <= z, t
         assert theta == z, t
+        residual = hnk_split_diagonalize(q)[1]
+        residuals.add("none" if residual is None else "even" if is_even(residual) else "odd")
+    assert residuals == {"none", "even", "odd"}
 
 
 def _oracle_conjugates(rng):
@@ -308,7 +328,7 @@ def _split_one_round_at_a_time(q):
     complement of the vector found before; returns (rounds, residual)."""
     rounds = 0
     while q.rank:
-        d, u = _ldl(_negate(q.matrix))
+        d, u = q._negated_ldl()
         norm, v = _min_norm_search(d, u, None, Fraction(1), skip_zero=True)
         if norm != 1:
             break
@@ -347,6 +367,25 @@ def test_plumbing_theta_diagonalize_rank_39_fast(capsys):
     assert out["rank"] == 39 and out["theta"] == 8 and out["diagonal_rank"] == 31
     assert out["residual"] == {"rank": 8, "even": True, "is_minus_e8": True}
     assert elapsed < 2.0
+
+
+def test_plumbing_theta_odd_norm_one_free_fast(capsys):
+    # odd forms with no norm -1 vector: Theta is the characteristic search
+    # on the whole form; with the coordinates reordered by diagonal these
+    # five commands took about 18 s on 2 CPUs
+    start = time.perf_counter()
+    for t in ("5,9,11", "9,13,25", "5,7,23", "10,19,23", "11,13,17"):
+        assert main(["plumbing", "--brieskorn", t, "--theta"]) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 16, t
+    assert time.perf_counter() - start < 3.0
+
+
+def test_min_norm_search_deeper_than_recursion_limit():
+    # one stack frame per coordinate would raise RecursionError here
+    n = sys.getrecursionlimit() + 100
+    zero = [Fraction(0)] * n
+    norm, x = _min_norm_search([Fraction(1)] * n, [zero] * n, None, Fraction(0))
+    assert norm == 0 and x == [0] * n
 
 
 def test_plumbing_rank_703_fast(capsys):
