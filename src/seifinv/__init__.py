@@ -15,7 +15,8 @@ a Seifert fibration and in particular to Brieskorn homology spheres:
     vector invariant Theta of negative definite unimodular lattices.
 
 Everything exact uses fractions.Fraction; numerical zeta-function series
-are evaluated with mpmath at an explicit decimal precision.
+are evaluated by seifinv.numkernel at an explicit decimal precision, and
+its arbitrary-precision library is loaded on the first numeric call only.
 """
 
 from seifinv.numkernel import InvariantError, frac, sawtooth, psi2, hurwitz_zeta, riemann_zeta

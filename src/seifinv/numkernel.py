@@ -16,6 +16,13 @@ precision and a carried absolute error estimate):
     hurwitz_sum(terms)    sum of w p^(-s) zeta(s, a) over a mapping
                           (s, p, a) -> exact weight w: the one kernel
                           every eta series is folded into
+    BigFloat.within(x, tol)
+                          |value - x| <= tol for an exact x, compared at
+                          the value's working precision
+
+mpmath is imported inside these operations, on the first numeric call, not
+when the module loads: the exact layers, and every command that needs only
+them, never import it.
 
 Callers add the exact weights of equal keys before calling hurwitz_sum,
 so a value that several terms share (zeta(s, x) and zeta(s, 1 - x) of a
@@ -43,10 +50,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Tuple, Union
 
-import mpmath
-from mpmath import mp
+if TYPE_CHECKING:
+    import mpmath
 
 Rational = Union[int, Fraction]
 
@@ -112,19 +119,33 @@ class BigFloat:
     eps: mpmath.mpf
 
     def __str__(self) -> str:
-        return f"{mpmath.nstr(self.value, self.digits)}@{self.digits}"
+        from mpmath import mp
+
+        return f"{mp.nstr(self.value, self.digits)}@{self.digits}"
 
     def __float__(self) -> float:
         return float(self.value)
 
+    def within(self, x: Rational, tol: Rational) -> bool:
+        """|value - x| <= tol, compared at the working precision
+        digits + 15 of the operations that produced the value."""
+        from mpmath import mp
+
+        with MP_LOCK, mp.workdps(self.digits + _GUARD_DIGITS):
+            return abs(self.value - _as_mpf(x)) <= _as_mpf(tol)
+
 
 def _as_mpf(x: Rational) -> mpmath.mpf:
+    from mpmath import mp
+
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
 
 
 def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
+    from mpmath import mp
+
     x = Fraction(x)
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         v = mp.mpf(x.numerator) / x.denominator
@@ -149,6 +170,8 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
         return bigfloat_from_rational(Fraction(1, 2) - a, precision)
     if s == -1:
         return bigfloat_from_rational(Fraction(-1, 12) + a * (1 - a) / 2, precision)
+    from mpmath import mp
+
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         s_mpf = _as_mpf(s)
         if abs(s_mpf - 1) < mp.mpf(10) ** (-precision):
@@ -174,6 +197,8 @@ def hurwitz_sum(
     of the per-value eps.  Callers merge equal keys before the call, so
     every distinct Hurwitz value is evaluated once.
     """
+    from mpmath import mp
+
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         total = mp.mpf(0)
         eps = mp.mpf(0)

@@ -8,10 +8,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from seifinv import dedekind, lattice, swfloer
+from seifinv import eta as eta_mod
 from seifinv.cli import PLUMBING_237, main
+from seifinv.numkernel import BigFloat
 from seifinv.swfloer import LaurentPolynomial
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -365,3 +368,72 @@ def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "20")
     assert code == 1
     assert "FAIL" in out and "differ" in out
+
+
+def test_exact_commands_never_import_mpmath():
+    # numkernel loads mpmath on the first numeric call, so only the eta
+    # series (--at) pays for its import
+    commands = [
+        ["plumbing", "--brieskorn", "2,3,65", "--theta", "--diagonalize"],
+        ["froyshov", "--brieskorn", "5,9,11"],
+        ["eta", "--brieskorn", "2,3,7"],
+        ["dedekind", "3", "7"],
+        ["table", "--triples", "2,3,5"],
+        ["eta", "--brieskorn", "2,3,5", "--at=1/2"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from seifinv.cli import main\n"
+        "seen = ['mpmath' in sys.modules]\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((main(argv), 'mpmath' in sys.modules))\n"
+        "print(seen)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [False] + [(0, False)] * 5 + [(0, True)]
+    assert proc.stdout.strip() == repr(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["eta", "--brieskorn", "2,3,5", "--seifert", "0:0:2/1"],
+            "give one of --brieskorn / --seifert, not both",
+        ),
+        (["eta"], "one of --brieskorn / --seifert is required"),
+        (["table", "--k", "1..3"], "--k needs --family"),
+        (["table", "--triples", "2,3,5", "--k", "1..3"], "--k needs --family"),
+    ],
+)
+def test_ignored_option_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"seifinv: error: {message}"]
+
+
+@pytest.mark.parametrize("shift, passes", [("5e-27", True), ("2e-26", False)])
+def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, passes):
+    # the series at s = 0 may drift from the exact eta(0) by 10^-26, no more
+    series = eta_mod.eta_series
+
+    def shifted(ctx, s, precision=30):
+        v = series(ctx, s, precision)
+        with mpmath.workdps(precision + 15):
+            return BigFloat(v.value + mpmath.mpf(shift), v.digits, v.eps)
+
+    monkeypatch.setattr(eta_mod, "eta_series", shifted)
+    code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")
+    if passes:
+        assert (code, out) == (0, "verify eta-consistency: ok (seed 7, 5 cases)\n")
+    else:
+        assert code == 1
+        assert out.startswith(
+            "verify eta-consistency: FAIL: case 0: series at s=0 drifts from exact eta(0) on "
+        )
