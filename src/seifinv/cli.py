@@ -55,11 +55,13 @@ def _parse_triple(text: str, parser: argparse.ArgumentParser) -> Tuple[int, int,
     parts = text.split(",")
     if len(parts) != 3:
         parser.error(f"triple {text!r}: expected three comma-separated integers")
-    try:
-        a, b, c = (int(p) for p in parts)
-    except ValueError:
-        bad = next(p for p in parts if not p.strip().lstrip("-").isdigit())
-        parser.error(f"triple {text!r}: {bad!r} is not an integer")
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError:
+            parser.error(f"triple {text!r}: {p!r} is not an integer")
+    a, b, c = values
     return a, b, c
 
 
@@ -95,7 +97,7 @@ def _parse_family(spec: str, parser: argparse.ArgumentParser):
     fns = []
     for token in spec.split(","):
         token = token.strip()
-        if token.lstrip("-").isdigit():
+        if re.fullmatch(r"-?\d+", token):
             fns.append(lambda k, v=int(token): v)
             continue
         m = _FAMILY_TOKEN.match(token)
@@ -116,7 +118,7 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
         if lo > hi:
             parser.error(f"--k {text!r}: empty range")
         return range(lo, hi + 1)
-    if text.isdigit():
+    if re.fullmatch(r"\d+", text):
         v = int(text)
         return range(v, v + 1)
     parser.error(f"--k {text!r}: expected N or LO..HI")
@@ -360,14 +362,14 @@ def _cmd_plumbing(args, parser) -> int:
 
 
 def _cmd_table(args, parser) -> int:
-    if args.k is not None and not args.family:
+    if args.k is not None and args.family is None:
         parser.error("--k needs --family")
     triples: List[Tuple[int, int, int]] = []
     if args.triples:
         triples.extend(_parse_triple(t, parser) for t in args.triples)
-    if args.family:
+    if args.family is not None:
         fam = _parse_family(args.family, parser)
-        ks = _parse_range(args.k, parser) if args.k else range(1, 2)
+        ks = _parse_range(args.k, parser) if args.k is not None else range(1, 2)
         triples.extend(fam(k) for k in ks)
     rows = []
     for a, b, c in triples:

@@ -11,7 +11,9 @@ The resulting symmetric integer matrix is negative definite and
 unimodular.
 
 Factorisation.  The exact LDL of -q, computed once and cached on the
-form, is its only factorisation.  It decides negative definiteness
+form, is its only factorisation.  It works over the nonzeros of each
+row: on a star-shaped plumbing, center first, each row of the factor
+holds at most three entries.  It decides negative definiteness
 (every pivot d_i > 0), gives the determinant det q = (-1)^n prod d_i and
 with it unimodularity, and drives both searches below: the enumeration
 of the norm -1 vectors and the characteristic search.
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from seifinv.numkernel import InvariantError
 from seifinv.seifert import brieskorn
@@ -55,17 +57,15 @@ from seifinv.seifert import brieskorn
 Matrix = Tuple[Tuple[int, ...], ...]
 
 #: Largest plumbing rank n whose intersection form is built; larger ones
-#: are refused with ValueError.  The n x n matrix then has at most
-#: 4 * 10^6 cells, and a command holds about three such arrays at once
-#: (the form, its negation and the Fraction LDL), about 10^7 cells: at
-#: rank 2000 that peaks near 420 MB, and `plumbing` takes about 15 s,
-#: nearly all of it in the one LDL.  Memory, not time, sets the limit.
+#: are refused with ValueError.  The form is stored dense, as n^2 cells,
+#: at most 4 * 10^6; its sparse LDL holds only O(n) entries.  What grows
+#: with n^2 is the dense form and the n^2 cells that `--matrix` prints.
 #: Sigma(2,3,c) has rank about c/6.
 MAX_PLUMBING_RANK = 2000
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,12 @@ class IntegerQuadraticForm:
     def rank(self) -> int:
         return len(self.matrix)
 
-    def _negated_ldl(self) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
+    def _negated_ldl(self) -> Optional[Tuple[List[Fraction], List[Dict[int, Fraction]]]]:
         """The LDL of -q, the form's only factorisation, computed once and
         cached; None when q is not negative definite."""
         if "ldl" not in self._cache:
             try:
-                self._cache["ldl"] = _ldl(_negate(self.matrix))
+                self._cache["ldl"] = _ldl(self.matrix)
             except ValueError:
                 self._cache["ldl"] = None
         return self._cache["ldl"]
@@ -144,7 +144,7 @@ class PlumbingGraph:
                 m[idx][prev] = m[prev][idx] = 1
                 prev = idx
                 idx += 1
-        return IntegerQuadraticForm(_freeze(m))
+        return IntegerQuadraticForm(m)
 
 
 def hj_expand(alpha: int, beta: int) -> List[int]:
@@ -199,7 +199,7 @@ def direct_sum(q1: IntegerQuadraticForm, q2: IntegerQuadraticForm) -> IntegerQua
     for i in range(n2):
         for j in range(n2):
             m[n1 + i][n1 + j] = q2.matrix[i][j]
-    return IntegerQuadraticForm(_freeze(m))
+    return IntegerQuadraticForm(m)
 
 
 def is_even(q: IntegerQuadraticForm) -> bool:
@@ -214,45 +214,38 @@ def minus_e8() -> IntegerQuadraticForm:
 
 def diagonal_form(entries: Sequence[int]) -> IntegerQuadraticForm:
     n = len(entries)
-    return IntegerQuadraticForm(
-        _freeze([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    )
+    return IntegerQuadraticForm([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
 
-def _negate(m: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in m)
+def _ldl(m: Matrix) -> Tuple[List[Fraction], List[Dict[int, Fraction]]]:
+    """Triangular decomposition of -m for a negative definite symmetric m,
+    over the nonzeros of each row:
 
+        -m(x, x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
 
-def _ldl(m: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Triangular decomposition of a positive definite symmetric matrix:
-
-        Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-
-    with exact rational d_i > 0, u_ij.  Raises ValueError if not positive
-    definite.
+    with exact rational d_i > 0, and u[i] = {j: u_ij} holding the nonzero
+    u_ij, j > i.  Raises ValueError if m is not negative definite.
     """
-    n = len(m)
-    work = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = work[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = work[i][j] / d[i]
-        # plumbing forms are sparse: only rows with u_ir != 0 change
-        support = [r for r in range(i + 1, n) if u[i][r]]
-        for r in support:
-            f = d[i] * u[i][r]
-            for s in support:
+    # work[i] = {j: entry} over the nonzeros of row i of -m with j >= i
+    work = [{j: Fraction(-x) for j, x in enumerate(row[i:], i) if x} for i, row in enumerate(m)]
+    d: List[Fraction] = []
+    u: List[Dict[int, Fraction]] = []
+    for i, row in enumerate(work):
+        di = row.pop(i, 0)
+        if di <= 0:
+            raise ValueError("matrix is not negative definite")
+        ui = {j: w / di for j, w in row.items() if w}
+        for r, ur in ui.items():
+            f, wr = di * ur, work[r]
+            for s, us in ui.items():
                 if s >= r:
-                    work[r][s] -= f * u[i][s]
-                    work[s][r] = work[r][s]
+                    wr[s] = wr.get(s, 0) - f * us
+        d.append(di)
+        u.append(ui)
     return d, u
 
 
@@ -306,7 +299,7 @@ def _solve_parity(m: Matrix) -> List[int]:
 
 def _min_norm_search(
     d: List[Fraction],
-    u: List[List[Fraction]],
+    u: List[Dict[int, Fraction]],
     parity: Optional[List[int]],
     bound: Fraction,
     skip_zero: bool = False,
@@ -326,10 +319,10 @@ def _min_norm_search(
     the rank is not bounded by the recursion limit.
     """
     n = len(d)
-    # row i as u_ij = num_ij / den_i over its nonzero entries, so each
-    # minimizer is one integer sum over the assigned coordinates
-    dens = [lcm(*(f.denominator for f in u[i][i + 1:])) for i in range(n)]
-    nums = [[(j, int(u[i][j] * dens[i])) for j in range(i + 1, n) if u[i][j]] for i in range(n)]
+    # row i as u_ij = num_ij / den_i, so each minimizer is one integer sum
+    # over the assigned coordinates
+    dens = [lcm(*(f.denominator for f in row.values())) for row in u]
+    nums = [[(j, int(f * den)) for j, f in row.items()] for row, den in zip(u, dens)]
     scale = [d[i] / dens[i] ** 2 for i in range(n)]
     step = 2 if parity is not None else 1
     best: Optional[Fraction] = None
@@ -496,7 +489,7 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
     residual = None
     if basis:
         qb = [_times(q.matrix, b) for b in basis]
-        residual = IntegerQuadraticForm(_freeze([[_dot(b, c) for c in qb] for b in basis]))
+        residual = IntegerQuadraticForm([[_dot(b, c) for c in qb] for b in basis])
         if not (residual.is_negative_definite() and residual.is_unimodular()):
             raise InvariantError(
                 "the complement of the <-1> summands must be negative definite and unimodular"

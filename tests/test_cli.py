@@ -216,19 +216,32 @@ def test_table_json_round_trip(capsys):
     assert LaurentPolynomial.from_json(row["P"]) == LaurentPolynomial({-1: 1, 1: 1, 5: 1})
 
 
+def assert_refused(capsys, *argv):
+    """The command exits 2 with one `seifinv: error:` line and no output."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("seifinv: error:")]
+    assert exc.value.code == 2 and len(errors) == 1 and captured.out == "", argv
+
+
 def test_table_bad_triple_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--triples", "2,3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--triples", "2,x,5"])
-    assert exc.value.code == 2
+    assert_refused(capsys, "table", "--triples", "2,3")
+    assert_refused(capsys, "table", "--triples", "2,x,5")
+    # a non-ASCII digit passes str.isdigit but not int
+    assert_refused(capsys, "froyshov", "--brieskorn", "2,3,\u00b2")
+    assert_refused(capsys, "table", "--triples", "2,3,\u00b2")
 
 
 def test_bad_family_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--family", "2,3,6q+1", "--k", "1..2"])
-    assert exc.value.code == 2
+    assert_refused(capsys, "table", "--family", "2,3,6q+1", "--k", "1..2")
+    # an empty family spec is refused, not read as no family
+    assert_refused(capsys, "table", "--family", "")
+    assert_refused(capsys, "table", "--triples", "2,3,5", "--family", "")
+    assert_refused(capsys, "table", "--k", "1..2", "--family", "")
+    assert_refused(capsys, "table", "--family", "2,3,\u00b2")
+    assert_refused(capsys, "table", "--family", "2,3,6k+1", "--k", "\u00b2")
+    assert_refused(capsys, "table", "--family", "2,3,6k+1", "--k", "")
 
 
 def test_verify_suites_pass(capsys):

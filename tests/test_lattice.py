@@ -15,8 +15,8 @@ from seifinv.lattice import (
     IntegerQuadraticForm,
     _identity,
     _kernel_basis_of_functional,
+    _ldl,
     _min_norm_search,
-    _negate,
     _norm_one_vectors,
     _theta_search,
     diagonal_form,
@@ -192,7 +192,7 @@ def test_determinant_refuses_indefinite_form():
 
 
 def test_is_minus_e8_rejects_other_even_unimodular_rank_8():
-    plus_e8 = IntegerQuadraticForm(_negate(minus_e8().matrix))
+    plus_e8 = IntegerQuadraticForm([[-x for x in row] for row in minus_e8().matrix])
     h = IntegerQuadraticForm(((0, 1), (1, 0)))
     h4 = direct_sum(direct_sum(h, h), direct_sum(h, h))
     for q in (plus_e8, h4):
@@ -316,6 +316,36 @@ def _oracle_conjugates(rng):
         yield base, _conjugate(base, _random_unimodular(rng, base.rank, steps=6))
 
 
+def _rebuild_from_ldl(n, d, u):
+    """sum_i d_i (e_i + u_i)(e_i + u_i)^T as a dense matrix."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = {i: Fraction(1), **u[i]}
+        for r, vr in v.items():
+            for s, vs in v.items():
+                m[r][s] += d[i] * vr * vs
+    return m
+
+
+def test_ldl_rebuilds_negated_form():
+    rng = random.Random(41)
+    forms = [q for _, q in _oracle_conjugates(rng)]
+    forms += [plumbing_form(*t) for t in ((2, 3, 5), (3, 5, 7), (2, 3, 1801))]
+    for q in forms:
+        d, u = _ldl(q.matrix)
+        assert all(j > i and x for i, row in enumerate(u) for j, x in row.items())
+        assert _rebuild_from_ldl(q.rank, d, u) == [[-x for x in row] for row in q.matrix]
+
+
+def test_ldl_of_plumbing_form_is_sparse():
+    # a star with three arms, center first: the center row holds 3
+    # entries and the arm rows at most 3, 2 and 1
+    for t in ((2, 3, 5), (3, 5, 7), (5, 9, 11), (2, 3, 1801)):
+        q = plumbing_form(*t)
+        _, u = _ldl(q.matrix)
+        assert sum(len(row) for row in u) <= 3 * q.rank, t
+
+
 def test_theta_through_split_matches_full_rank_search():
     rng = random.Random(23)
     for base, q in _oracle_conjugates(rng):
@@ -383,20 +413,21 @@ def test_plumbing_theta_odd_norm_one_free_fast(capsys):
 def test_min_norm_search_deeper_than_recursion_limit():
     # one stack frame per coordinate would raise RecursionError here
     n = sys.getrecursionlimit() + 100
-    zero = [Fraction(0)] * n
-    norm, x = _min_norm_search([Fraction(1)] * n, [zero] * n, None, Fraction(0))
+    norm, x = _min_norm_search([Fraction(1)] * n, [{}] * n, None, Fraction(0))
     assert norm == 0 and x == [0] * n
 
 
 def test_plumbing_rank_703_fast(capsys):
     # one LDL gives definiteness and the determinant; with a second,
-    # dense elimination for det this command took about 20 s on 2 CPUs
-    start = time.perf_counter()
-    assert main(["plumbing", "--brieskorn", "2,3,4201"]) == 0
-    elapsed = time.perf_counter() - start
-    out = json.loads(capsys.readouterr().out)
-    assert out["rank"] == 703 and out["det"] == -1
-    assert elapsed < 8.0
+    # dense elimination for det the rank-703 command took about 20 s on
+    # 2 CPUs, and with a dense LDL the rank-2000 one took 9-15 s
+    for c, rank in ((4201, 703), (11983, 2000)):
+        start = time.perf_counter()
+        assert main(["plumbing", "--brieskorn", f"2,3,{c}"]) == 0
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert out["rank"] == rank and out["det"] == (-1) ** rank
+        assert elapsed < 8.0, rank
 
 
 def test_split_computed_once_per_form(monkeypatch):
