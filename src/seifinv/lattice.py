@@ -81,10 +81,9 @@ class IntegerQuadraticForm:
         for row in self.matrix:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError("matrix must be symmetric")
+        # row i against column i, lazily: no transposed copy of the n^2 cells
+        if not all(map(tuple.__eq__, self.matrix, zip(*self.matrix))):
+            raise ValueError("matrix must be symmetric")
 
     @property
     def rank(self) -> int:

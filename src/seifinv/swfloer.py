@@ -48,6 +48,18 @@ Z = 8 m(P) + F(N).
 Every vortex level satisfies n_p <= n0 = n_(0,0,0), so no level at or
 below 2 rho - n0 is ever counted, and the level table keeps only the
 levels above it.
+
+The grading depends on p only through its level n_p, so it is computed
+once per level, from the one sorted level table.  Two facts make that one
+pass:
+
+* the box weights w = x bc + y ac + z ab are pairwise distinct, because w
+  fixes x mod a, y mod b and z mod c; so the levels are distinct integers,
+  and the count of levels below a level is its index in the sorted table;
+* the positive levels are exactly the levels of the points of Delta, one
+  each: n_q > 0 iff 2 w_q < abc kappa.
+
+So P(T) is read off the positive levels, with no point of Delta built.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from seifinv.eta import froyshov_F
 from seifinv.numkernel import InvariantError
@@ -73,7 +85,7 @@ from seifinv.seifert import SeifertData, brieskorn, defining_bundle
 #: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is enumerated;
 #: larger triples are refused with ValueError.  The level table keeps only
 #: the box points with x/a + y/b + z/c < 2 c0, about kappa^3/6 of B, so
-#: at abc = 10^7 a table costs about 127 MB of peak memory.
+#: at abc = 10^7 `froyshov` peaks at about 105 MB.
 MAX_BOX_POINTS = 10**7
 
 
@@ -202,6 +214,23 @@ def canonical_degree(a: int, b: int, c: int) -> Fraction:
     return 1 - Fraction(1, a) - Fraction(1, b) - Fraction(1, c)
 
 
+def _box_slices(a: int, b: int, c: int, top: int) -> Iterator[Tuple[int, int, int, int]]:
+    """The slices (x, y) of the weight box B in lexicographic order, as
+    (x, y, w_xy, run) with w_xy = x bc + y ac: the points (x, y, z) of B
+    with weight x bc + y ac + z ab <= top are those with z < run.  Only
+    slices with run > 0 are yielded, so nothing is walked when top < 0."""
+    bc, ac, ab = b * c, a * c, a * b
+    for x in range(a):
+        wx = x * bc
+        if wx > top:
+            break
+        for y in range(b):
+            wy = wx + y * ac
+            if wy > top:
+                break
+            yield x, y, wy, min(c, (top - wy) // ab + 1)
+
+
 def enumerate_delta(a: int, b: int, c: int) -> List[DeltaPoint]:
     """Lattice points of Delta(a, b, c), in lexicographic order.
 
@@ -209,23 +238,9 @@ def enumerate_delta(a: int, b: int, c: int) -> List[DeltaPoint]:
     particular Delta is empty whenever kappa <= 0.
     """
     _box_sized(a, b, c)
-    abc = a * b * c
-    # 2(x bc + y ac + z ab) < abc * kappa, as integers
-    bound = abc - b * c - a * c - a * b
-    points = []
-    for x in range(a):
-        wx = 2 * x * b * c
-        if wx >= bound:
-            break
-        for y in range(b):
-            wy = wx + 2 * y * a * c
-            if wy >= bound:
-                break
-            for z in range(c):
-                if wy + 2 * z * a * b >= bound:
-                    break
-                points.append(DeltaPoint(x, y, z))
-    return points
+    # 2(x bc + y ac + z ab) < abc * kappa, as integers: w <= (abc kappa - 1) // 2
+    top = (a * b * c - b * c - a * c - a * b - 1) // 2
+    return [DeltaPoint(x, y, z) for x, y, _, run in _box_slices(a, b, c, top) for z in range(run)]
 
 
 def _weight(p: DeltaPoint, a: int, b: int, c: int) -> int:
@@ -283,53 +298,61 @@ def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int]]:
         raise InvariantError(f"reducible level origin {n0} of ({a},{b},{c}) is not integral")
     n0 = int(n0)
     top = 2 * n0 - floor(2 * rho) - 1
-    wbc, wac, wab = b * c, a * c, a * b
+    ab = a * b
     levels = []
-    for x in range(a):
-        wx = x * wbc
-        if wx > top:
-            break
-        for y in range(b):
-            wy = wx + y * wac
-            if wy > top:
-                break
-            run = min(c, (top - wy) // wab + 1)
-            levels.extend(range(n0 - wy, n0 - wy - run * wab, -wab))
+    for _, _, w, run in _box_slices(a, b, c, top):
+        levels.extend(range(n0 - w, n0 - w - run * ab, -ab))
     levels.sort()
     return n0, rho, levels
+
+
+def _gradings(a: int, b: int, c: int) -> Tuple[int, Dict[int, int]]:
+    """n0 and the grading n_+ of every positive level n of the level table,
+    as {n: n_+}; always odd.  A grading depends on a vortex only through
+    its level, so each is computed once per level.
+
+    The box weights are pairwise distinct (w fixes x mod a, y mod b and
+    z mod c), so the sorted levels are distinct integers and the count of
+    positive levels below a positive level is its index among them."""
+    n0, rho, levels = _level_table(a, b, c)
+    # levels are integers and 0 <= rho < 1: (rho, n_p) is [1, n_p - 1], the
+    # positive levels below n_p, and (2 rho - n_p, rho) is
+    # [floor(2 rho) - n_p + 1, ceil(rho) - 1]
+    positive = bisect_left(levels, 1)
+    neg_end = bisect_left(levels, ceil(rho))
+    neg_shift = floor(2 * rho) + 1
+    gradings = {}
+    for pos, n_p in enumerate(levels[positive:]):
+        n = 2 * (neg_end - bisect_left(levels, neg_shift - n_p)) - 2 * pos - 1
+        if n % 2 == 0:
+            raise InvariantError(f"vortex grading {n} at level {n_p} of ({a},{b},{c}) is even")
+        gradings[n_p] = n
+    return n0, gradings
 
 
 def graded_delta(a: int, b: int, c: int) -> List[Tuple[DeltaPoint, int]]:
     """Each point p of Delta(a, b, c), in lexicographic order, paired with
     the grading n_+(p) of its holomorphic vortex; always odd.  One level
-    table serves every point."""
-    delta = enumerate_delta(a, b, c)
-    if not delta:
-        return []
-    n0, rho, levels = _level_table(a, b, c)
-    # levels are integers: (rho, n_p) is [floor(rho) + 1, n_p - 1] and
-    # (2 rho - n_p, rho) is [floor(2 rho) - n_p + 1, ceil(rho) - 1]
-    pos_start = bisect_left(levels, floor(rho) + 1)
-    neg_end = bisect_left(levels, ceil(rho))
-    neg_shift = floor(2 * rho) + 1
+    table serves every point.
+
+    The positive levels n_q > 0 are exactly the levels of the points of
+    Delta, one each: n_q > 0 iff 2 w_q < abc * kappa."""
+    n0, gradings = _gradings(a, b, c)
     graded = []
-    for p in delta:
+    for p in enumerate_delta(a, b, c):
         n_p = n0 - _weight(p, a, b, c)
-        if n_p <= 0:
+        n = gradings.get(n_p)
+        if n is None:
             raise InvariantError(f"vortex level {n_p} at {p} of ({a},{b},{c}) is not positive")
-        pos = bisect_left(levels, n_p) - pos_start
-        neg = neg_end - bisect_left(levels, neg_shift - n_p)
-        n = 2 * neg - 2 * pos - 1
-        if n % 2 == 0:
-            raise InvariantError(f"vortex grading {n} at {p} of ({a},{b},{c}) is even")
         graded.append((p, n))
     return graded
 
 
 def poincare_polynomial(a: int, b: int, c: int) -> LaurentPolynomial:
     """P(T) = sum over Delta of T^(n_+(p)); twice it is the Poincare
-    polynomial of the irreducible Floer complex.  All exponents odd."""
-    return LaurentPolynomial.from_exponents(n for _, n in graded_delta(a, b, c))
+    polynomial of the irreducible Floer complex.  All exponents odd.
+    Read off the positive levels, one per point of Delta."""
+    return LaurentPolynomial.from_exponents(_gradings(a, b, c)[1].values())
 
 
 def gap_m(P: LaurentPolynomial) -> int:

@@ -191,6 +191,17 @@ def test_determinant_refuses_indefinite_form():
     assert not q.is_negative_definite()
 
 
+def test_form_refuses_ragged_and_asymmetric_matrices():
+    for rows in ([[-2, 1], [1]], [[-2, 1], [1, -2, 0]], [[-2]] * 2):
+        with pytest.raises(ValueError, match="square"):
+            IntegerQuadraticForm(rows)
+    for rows in ([[-2, 1], [0, -2]], [[-2, 0, 1], [0, -2, 0], [0, 0, -2]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            IntegerQuadraticForm(rows)
+    assert IntegerQuadraticForm([]).rank == 0
+    assert IntegerQuadraticForm([[-2, 1], [1, -2]]).matrix == ((-2, 1), (1, -2))
+
+
 def test_is_minus_e8_rejects_other_even_unimodular_rank_8():
     plus_e8 = IntegerQuadraticForm([[-x for x in row] for row in minus_e8().matrix])
     h = IntegerQuadraticForm(((0, 1), (1, 0)))

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from seifinv import swfloer
+from seifinv.cli import PAPER_TABLE
 from seifinv.orbifold import (
     add_bundles,
     canonical_bundle,
@@ -47,6 +49,34 @@ def test_enumerate_delta_examples():
     assert enumerate_delta(2, 3, 5) == []
     assert enumerate_delta(2, 3, 7) == [DeltaPoint(0, 0, 0)]
     assert enumerate_delta(3, 5, 7) == [DeltaPoint(0, 0, 0), DeltaPoint(0, 0, 1)]
+
+
+def _coprime_triples(max_abc):
+    """Every pairwise coprime a < b < c with abc <= max_abc."""
+    return [
+        (a, b, c)
+        for a in range(2, max_abc)
+        for b in range(a + 1, max_abc // a + 1)
+        for c in range(b + 1, max_abc // (a * b) + 1)
+        if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
+    ]
+
+
+def test_enumerate_delta_against_brute_force_filter():
+    # the strict inequality checked cell by cell over the whole box
+    triples = _coprime_triples(1500)
+    assert len(triples) == 745 and (2, 3, 5) in triples
+    assert {(a * b * c - b * c - a * c - a * b) % 2 for a, b, c in triples} == {0, 1}
+    for a, b, c in triples:
+        bound = a * b * c - b * c - a * c - a * b
+        want = [
+            DeltaPoint(x, y, z)
+            for x in range(a)
+            for y in range(b)
+            for z in range(c)
+            if 2 * (x * b * c + y * a * c + z * a * b) < bound
+        ]
+        assert enumerate_delta(a, b, c) == want, (a, b, c)
 
 
 def test_enumerate_delta_lex_order():
@@ -175,6 +205,11 @@ def test_graded_delta_against_full_box_oracle():
     assert any(any(e % 2 == 0 for e in t) for t in corpus)
     for t in corpus:
         assert graded_delta(*t) == _box_oracle_gradings(*t), t
+        # the gradings are keyed by level: levels are distinct, and the
+        # positive ones are Delta's, one each
+        levels = _level_table(*t)[2]
+        assert len(set(levels)) == len(levels), t
+        assert sum(n > 0 for n in levels) == len(enumerate_delta(*t)), t
 
 
 def test_level_table_is_windowed():
@@ -186,6 +221,19 @@ def test_level_table_is_windowed():
 def test_published_polynomials():
     for t, coeffs in POLYNOMIALS.items():
         assert poincare_polynomial(*t) == LaurentPolynomial(coeffs), t
+
+
+def test_polynomial_reads_levels_not_delta(monkeypatch):
+    # P(T) and Z come from the level table alone, with no Delta point built
+    def refuse(*args):
+        raise AssertionError("Delta enumerated")
+
+    monkeypatch.setattr(swfloer, "enumerate_delta", refuse)
+    monkeypatch.setattr(swfloer, "graded_delta", refuse)
+    assert POLYNOMIALS.keys() == PAPER_TABLE.keys()
+    for t, coeffs in POLYNOMIALS.items():
+        assert poincare_polynomial(*t) == LaurentPolynomial(coeffs), t
+        assert froyshov_Z(*t) == PAPER_TABLE[t][2], t
 
 
 def test_polynomial_parity_sweep():
