@@ -35,7 +35,7 @@ from seifinv import dedekind as ded
 from seifinv import eta as eta_mod
 from seifinv import lattice as lat
 from seifinv import swfloer as swf
-from seifinv.numkernel import InvariantError
+from seifinv.numkernel import MP_LOCK, InvariantError, hurwitz_zeta
 from seifinv.orbifold import Orbifold, VLineBundle, trivial_bundle
 from seifinv.seifert import SeifertData, brieskorn, is_homology_sphere
 
@@ -428,8 +428,45 @@ def _random_seifert(rng: random.Random, max_m: int = 3) -> SeifertData:
             return N
 
 
+#: verify eta-consistency checks the series on its first SERIES_CASES
+#: cases: at s = 0 against the exact eta(0), and at a seeded non-integer s
+#: at SERIES_DIGITS digits, few enough that numkernel.hurwitz_sum takes
+#: its Taylor-moment route on every s with more than about 20 keys.
+SERIES_CASES = 5
+SERIES_DIGITS = 15
+
+
+def _seeded_s(rng: random.Random) -> Fraction:
+    """A non-integer s in [-5/2, 5/2], at least 1/8 from the poles 1 and 2."""
+    while True:
+        q = rng.randint(2, 8)
+        s = Fraction(rng.randint(-5 * q // 2, 5 * q // 2), q)
+        if s.denominator > 1 and min(abs(s - 1), abs(s - 2)) >= Fraction(1, 8):
+            return s
+
+
+def _series_matches_per_key_sum(ctx: eta_mod.EtaContext, s: Fraction, digits: int) -> bool:
+    """eta_series at s against the per-key sum of its merged terms, one
+    hurwitz_zeta per key at digits + 10: |difference| <= the series' eps
+    plus the per-key sum's."""
+    from mpmath import mp
+
+    got = eta_mod.eta_series(ctx, s, digits)
+    with MP_LOCK, mp.workdps(digits + 25):
+        ref = ref_eps = mp.mpf(0)
+        for (s1, p, a), w in eta_mod.series_terms(ctx, s).items():
+            if w:
+                z = hurwitz_zeta(s1, a, digits + 10)
+                scale = mp.power(p, -mp.mpf(s1.numerator) / s1.denominator)
+                wp = mp.mpf(w.numerator) / w.denominator * scale
+                ref += wp * z.value
+                ref_eps += abs(wp) * z.eps
+        return abs(got.value - ref) <= got.eps + ref_eps
+
+
 def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
     rng = random.Random(seed)
+    s_rng = random.Random(f"{seed}:s")
     for i in range(cases):
         N = _random_seifert(rng)
         gammas = tuple(rng.randrange(a) for a in N.alphas)
@@ -445,8 +482,13 @@ def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
         exact = eta_mod.eta_zero_flat(flat)
         if exact != eta_mod.eta_zero_flat_direct(flat):
             return f"case {i}: Dedekind and closed-form flat eta(0) differ on {N} with {L}"
-        if i < 5 and not eta_mod.eta_series(flat, 0, 30).within(exact, Fraction(1, 10**26)):
+        if i >= SERIES_CASES:
+            continue
+        if not eta_mod.eta_series(flat, 0, 30).within(exact, Fraction(1, 10**26)):
             return f"case {i}: series at s=0 drifts from exact eta(0) on {N}"
+        s = _seeded_s(s_rng)
+        if not _series_matches_per_key_sum(flat, s, SERIES_DIGITS):
+            return f"case {i}: series at s={s} differs from the per-key Hurwitz sum on {N}"
     return None
 
 
@@ -550,7 +592,8 @@ def _cmd_verify(args, parser) -> int:
         ),
         "eta-consistency": (
             lambda: _verify_eta_consistency(seed, eta_cases),
-            f"seed {seed}, {eta_cases} cases",
+            f"seed {seed}, {eta_cases} cases; series against exact eta(0) and, at a seeded "
+            f"s in [-5/2, 5/2], the per-key Hurwitz sum on {min(eta_cases, SERIES_CASES)}",
         ),
         "froyshov-table": (_verify_froyshov_table, f"{len(PAPER_TABLE)} triples"),
         "families": (

@@ -55,6 +55,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Dict, Tuple
 
 from seifinv import dedekind
 from seifinv.numkernel import BigFloat, InvariantError, Rational, frac, hurwitz_sum
@@ -205,16 +206,15 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
     return total
 
 
-def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
-    """Numeric eta(s): the pullback expansion when rho = 0, the
-    holonomy-twisted one when rho in (0, 1) (module docstring).
+def series_terms(ctx: EtaContext, s) -> Dict[Tuple[Rational, int, Fraction], Fraction]:
+    """The eta series of the context at s as exact weights on the keys
+    (s', p, a) of p^(-s') zeta(s', a), s' in {s, s - 1}: the pullback
+    expansion when rho = 0, the holonomy-twisted one when rho in (0, 1)
+    (module docstring).
 
-    Every term of either expansion is an exact weight on some
-    p^(-s') zeta(s', a) with s' in {s, s - 1}; the weights of equal keys
-    (s', p, a) are added exactly and the sum goes through one
-    ``hurwitz_sum`` call.  At rho = 1/2 the signed pairs zeta(s', x) and
-    zeta(s', 1 - x) land on the same keys, which halves the Hurwitz
-    evaluations and drops the head term, whose two halves cancel.
+    The weights of equal keys are added exactly.  At rho = 1/2 the signed
+    pairs zeta(s', x) and zeta(s', 1 - x) land on the same keys, and the
+    head term, whose two halves cancel, drops out.
     """
     N, rho = ctx.fibration, ctx.rho
     fibers = zip(N.alphas, N.betas, ctx.coupling.gammas)
@@ -224,7 +224,7 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
         for a, b, g in fibers:
             for r in range(1, a):
                 terms[s, a, Fraction(r, a)] += Fraction((g + r * b) % a - (g - r * b) % a, a)
-        return hurwitz_sum(terms, precision)
+        return terms
 
     _require_canonical_flat(ctx)
     head = _head_weight(N)
@@ -238,7 +238,16 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
             terms[s, a, 1 - x] += w
     terms[s - 1, 1, rho] -= N.ell
     terms[s - 1, 1, 1 - rho] -= N.ell
-    return hurwitz_sum(terms, precision)
+    return terms
+
+
+def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
+    """Numeric eta(s): the ``series_terms`` of the context summed by one
+    ``hurwitz_sum`` call.  Every term is a signed pair
+    w (zeta(s', x) - zeta(s', 1 - x)) except the s - 1 terms, so the kernel
+    evaluates only the odd Taylor centre values of the s keys; at an
+    integer s <= 0 the sum is exact."""
+    return hurwitz_sum(series_terms(ctx, s), precision)
 
 
 def _require_trivial_homology_sphere(ctx: EtaContext) -> None:

@@ -209,11 +209,6 @@ def _box_sized(a: int, b: int, c: int) -> SeifertData:
     return N
 
 
-def canonical_degree(a: int, b: int, c: int) -> Fraction:
-    """kappa = 1 - (1/a + 1/b + 1/c)."""
-    return 1 - Fraction(1, a) - Fraction(1, b) - Fraction(1, c)
-
-
 def _box_slices(a: int, b: int, c: int, top: int) -> Iterator[Tuple[int, int, int, int]]:
     """The slices (x, y) of the weight box B in lexicographic order, as
     (x, y, w_xy, run) with w_xy = x bc + y ac: the points (x, y, z) of B
@@ -267,15 +262,20 @@ def energies(points: Sequence[DeltaPoint], a: int, b: int, c: int) -> List[Fract
 
     The overall normalization constant of the flow energy is omitted: E
     is used only to label and order critical points.
+
+    Over integers: deg L_p - kappa/2 = (2 w - abc kappa) / (2 abc) with
+    w = x bc + y ac + z ab and abc kappa = abc - bc - ac - ab, so
+    E(p) = (2 w - abc kappa)^2 / (4 abc^2 ell), one Fraction per point.
     """
     ell = brieskorn(a, b, c).ell
-    half_kappa = canonical_degree(a, b, c) / 2
+    abc = a * b * c
+    abc_kappa = abc - b * c - a * c - a * b
+    den = 4 * abc * abc * ell.numerator
     out = []
     for p in points:
         if not in_delta(p, a, b, c):
             raise ValueError(f"{p} lies outside Delta({a}, {b}, {c})")
-        nu = Fraction(_weight(p, a, b, c), a * b * c) - half_kappa
-        out.append(nu**2 / ell)
+        out.append(Fraction((2 * _weight(p, a, b, c) - abc_kappa) ** 2 * ell.denominator, den))
     return out
 
 

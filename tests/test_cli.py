@@ -85,6 +85,22 @@ def test_eta_series_golden_at_negative_s(capsys):
 
 
 @pytest.mark.parametrize(
+    "at, value",
+    [
+        # eta(-n) is a finite sum of Bernoulli polynomial values: exact,
+        # with no rounding noise printed as significant digits
+        ("-1", "0.0@20"),
+        ("-3", "0.0@20"),
+        ("-2", "2.2062962962962962963@20"),  # 5957/2700
+    ],
+)
+def test_eta_series_exact_at_negative_integers(capsys, at, value):
+    code, out = run(capsys, "eta", "--brieskorn", "3,5,7", f"--at={at}", "--digits", "20")
+    assert code == 0
+    assert json.loads(out)["eta_at"]["value"] == value
+
+
+@pytest.mark.parametrize(
     "argv", [("eta", "--brieskorn", "2,3,5", "--at"), ("dedekind", "4", "7", "--x")]
 )
 def test_negative_rational_as_separate_argument(capsys, argv):
@@ -244,13 +260,22 @@ def test_bad_family_exit_2(capsys):
     assert_refused(capsys, "table", "--family", "2,3,6k+1", "--k", "")
 
 
+ETA_SERIES_CHECKED = (
+    "series against exact eta(0) and, at a seeded s in [-5/2, 5/2], the per-key Hurwitz sum"
+)
+
+
 def test_verify_suites_pass(capsys):
     # each PASS line says what the suite checked
     for argv, checked in [
         (("dedekind-oracle", "--seed", "7", "--cases", "40"), "seed 7, 40 cases"),
-        (("eta-consistency", "--cases", "8"), "seed 7, 8 cases"),
+        (("eta-consistency", "--cases", "8"), f"seed 7, 8 cases; {ETA_SERIES_CHECKED} on 5"),
         # eta-consistency runs at most 50 cases, whatever --cases asks for
-        (("eta-consistency", "--seed", "3", "--cases", "60"), "seed 3, 50 cases"),
+        (
+            ("eta-consistency", "--seed", "3", "--cases", "60"),
+            f"seed 3, 50 cases; {ETA_SERIES_CHECKED} on 5",
+        ),
+        (("eta-consistency", "--cases", "2"), f"seed 7, 2 cases; {ETA_SERIES_CHECKED} on 2"),
         (("froyshov-table",), "9 triples"),
         (("families", "--k-max", "6"), "Sigma(2,3,6k+-1) for k = 1..6, 12 triples"),
         (
@@ -438,15 +463,39 @@ def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, pass
 
     def shifted(ctx, s, precision=30):
         v = series(ctx, s, precision)
+        if s != 0:
+            return v
         with mpmath.workdps(precision + 15):
             return BigFloat(v.value + mpmath.mpf(shift), v.digits, v.eps)
 
     monkeypatch.setattr(eta_mod, "eta_series", shifted)
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")
     if passes:
-        assert (code, out) == (0, "verify eta-consistency: ok (seed 7, 5 cases)\n")
+        assert (code, out) == (
+            0,
+            f"verify eta-consistency: ok (seed 7, 5 cases; {ETA_SERIES_CHECKED} on 5)\n",
+        )
     else:
         assert code == 1
         assert out.startswith(
             "verify eta-consistency: FAIL: case 0: series at s=0 drifts from exact eta(0) on "
         )
+
+
+def test_verify_eta_consistency_checks_series_off_zero(capsys, monkeypatch):
+    # a series value off by 100 eps at the seeded non-integer s fails the
+    # per-key check, even though the series at s = 0 is exact
+    series = eta_mod.eta_series
+
+    def shifted(ctx, s, precision=30):
+        v = series(ctx, s, precision)
+        if s == 0:
+            return v
+        with mpmath.workdps(precision + 15):
+            return BigFloat(v.value + 100 * v.eps, v.digits, v.eps)
+
+    monkeypatch.setattr(eta_mod, "eta_series", shifted)
+    code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")
+    assert code == 1
+    assert out.startswith("verify eta-consistency: FAIL: case 0: series at s=")
+    assert "differs from the per-key Hurwitz sum" in out

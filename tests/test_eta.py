@@ -24,6 +24,7 @@ from seifinv.eta import (
     pullback_context,
     rohlin_check,
     serre_dual_coupling,
+    series_terms,
     trivial_flat_context,
 )
 from seifinv.numkernel import frac
@@ -263,15 +264,32 @@ def test_series_eps_covers_error_against_term_oracle():
             assert err <= got.eps, (ctx.fibration, ctx.rho, s, digits, err, got.eps)
 
 
+def test_series_eps_covers_error_at_alpha_301():
+    # a corpus case at alpha ~ 10^2.5, where the Taylor moments of
+    # hurwitz_sum replace 305 per-key Hurwitz values
+    ctx = trivial_flat_context(brieskorn(2, 3, 301))
+    s, digits = Fraction(7, 3), 30
+    got = eta_series(ctx, s, digits)
+    with mp.workdps(2 * digits + 20):
+        err = abs(got.value - _series_oracle(ctx, s, digits))
+        assert err <= got.eps, (s, digits, err, got.eps)
+
+
 @pytest.mark.parametrize(
     "triple, s, digits, terms, keys",
     [
         ((2, 31, 67), Fraction(-3, 2), 15, 198, 99),  # rho = 1/2: the pairs merge
         ((16, 25, 39), Fraction(1, 2), 20, 158, 79),  # rho = 1/2
         ((3, 5, 7), Fraction(1, 2), 20, 13, 13),  # rho = 0: nothing merges
+        ((16, 25, 39), Fraction(9, 4), 40, 158, 79),
     ],
 )
-def test_series_one_hurwitz_call_per_merged_key(monkeypatch, triple, s, digits, terms, keys):
+def test_series_hurwitz_calls_distinct_and_alpha_independent(
+    monkeypatch, triple, s, digits, terms, keys
+):
+    # equal keys merge before the kernel; the kernel evaluates every Hurwitz
+    # value once, and the centre values of its Taylor moments are shared by
+    # all keys, so the count is set by (s, digits), not by alpha
     ctx = trivial_flat_context(brieskorn(*triple))
     merged = defaultdict(Fraction)
     for s1, p, a, w in _series_terms(ctx, s):
@@ -280,7 +298,28 @@ def test_series_one_hurwitz_call_per_merged_key(monkeypatch, triple, s, digits, 
     assert sum(1 for w in merged.values() if w) == keys
     calls = _count_hurwitz_calls(monkeypatch)
     eta_series(ctx, s, digits)
+    assert len(calls) == len(set(calls)) <= keys
+    counts = []
+    for c in (101, 1001):
+        calls.clear()
+        eta_series(trivial_flat_context(brieskorn(2, 3, c)), s, digits)
+        assert len(calls) == len(set(calls))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 60
+
+
+def test_series_near_nonpositive_integer_goes_per_key(monkeypatch):
+    # within 1/100 of an integer <= 1 some s + j of the Taylor expansion
+    # would graze the pole of zeta at 1: such an s costs one call per key
+    ctx = trivial_flat_context(brieskorn(2, 3, 101))
+    s = Fraction(1, 10**20) - 3
+    keys = sum(1 for w in series_terms(ctx, s).values() if w)
+    calls = _count_hurwitz_calls(monkeypatch)
+    got = eta_series(ctx, s, 20)
     assert len(calls) == len(set(calls)) == keys
+    at_minus_3 = eta_series(ctx, -3, 20)  # exact
+    with mp.workdps(35):
+        assert abs(got.value - at_minus_3.value) < mp.mpf(10) ** -10 * max(1, abs(at_minus_3.value))
 
 
 def test_levicivita_correction():

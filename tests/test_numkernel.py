@@ -62,6 +62,13 @@ def test_hurwitz_closed_forms_at_special_points():
             want1 = mp.mpf(e1.numerator) / e1.denominator
             assert abs(z0.value - want0) < mp.mpf(10) ** -28
             assert abs(z1.value - want1) < mp.mpf(10) ** -28
+        # zeta(-n, a) = -B_{n+1}(a) / (n + 1), against mpmath's Bernoulli
+        # polynomials at 60 digits
+        for n in (2, 3, 7):
+            z = hurwitz_zeta(-n, a, 30)
+            with mp.workdps(60):
+                want = -mp.bernpoly(n + 1, mp.mpf(a.numerator) / a.denominator) / (n + 1)
+                assert abs(z.value - want) <= z.eps + mp.mpf(10) ** -45 * abs(want), (n, a)
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), 2, 3, Fraction(-1, 2), Fraction(5, 2)])
@@ -173,6 +180,32 @@ def _count_hurwitz_calls(monkeypatch):
 
     monkeypatch.setattr("seifinv.numkernel.hurwitz_zeta", counted)
     return calls
+
+
+def _mpf(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def test_hurwitz_sum_moments_against_per_key_reference(monkeypatch):
+    # non-antisymmetric weights need the even centre values too; keys with
+    # a > 1 and an integer s <= 0 ride along by their own routes
+    rng = random.Random(29)
+    for s, digits in ((Fraction(7, 3), 20), (Fraction(-5, 4), 15)):
+        terms = defaultdict(Fraction)
+        for _ in range(200):
+            q = rng.randint(1, 20)
+            a = Fraction(rng.randint(1, q), q) + (rng.random() < 0.05)
+            terms[s, rng.choice((1, 3, 7)), a] += Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        terms[-2, 5, Fraction(1, 3)] += Fraction(3, 4)
+        calls = _count_hurwitz_calls(monkeypatch)
+        got = hurwitz_sum(terms, digits)
+        assert (s + 2, Fraction(5, 2)) in calls  # an even order, past zeta(s, 5/2)
+        assert len(calls) == len(set(calls)) < len({a for (_, _, a), w in terms.items() if w})
+        # the reference: each distinct zeta(s', a) by mpmath at 2 digits + 20
+        with mp.workdps(2 * digits + 20):
+            zeta = {(s1, a): mp.zeta(_mpf(s1), _mpf(a)) for s1, _, a in terms}
+            ref = sum(_mpf(w) * mp.mpf(p) ** -_mpf(s1) * zeta[s1, a] for (s1, p, a), w in terms.items())
+            assert abs(got.value - ref) <= got.eps, (s, digits, abs(got.value - ref), got.eps)
 
 
 def test_signed_split_zero_function(monkeypatch):
