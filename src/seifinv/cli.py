@@ -549,6 +549,10 @@ def _verify_families(k_max: int) -> Optional[str]:
 #: off one <-1> and leaves an odd residual.
 LATTICE_ORACLE_TRIPLES = ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13), (3, 5, 7), (3, 11, 13))
 
+#: Triples on which `verify lattice` checks Theta = Z: the oracle triples
+#: and the rest of the Sigma(2,3,6k+-1), k <= 4, whose splittings it checks.
+LATTICE_Z_TRIPLES = LATTICE_ORACLE_TRIPLES + ((2, 3, 17), (2, 3, 19), (2, 3, 23), (2, 3, 25))
+
 
 def _verify_lattice() -> Optional[str]:
     q = lat.plumbing_form(2, 3, 7)
@@ -575,6 +579,10 @@ def _verify_lattice() -> Optional[str]:
         theta, oracle = lat.theta_invariant(q), lat._theta_search(q)
         if theta != oracle:
             return f"Theta(Gamma_{t}) = {theta}, but the full-rank search gives {oracle}"
+    for t in LATTICE_Z_TRIPLES:
+        theta, z = lat.theta_invariant(lat.plumbing_form(*t)), swf.froyshov_Z(*t)
+        if theta != z:
+            return f"Theta(Gamma_{t}) = {theta}, but Z = {z}"
     return None
 
 
@@ -603,7 +611,8 @@ def _cmd_verify(args, parser) -> int:
         "lattice": (
             _verify_lattice,
             "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings, "
-            f"Theta against the full-rank search on {len(LATTICE_ORACLE_TRIPLES)} forms",
+            f"Theta against the full-rank search on {len(LATTICE_ORACLE_TRIPLES)} forms, "
+            f"Theta = Z on {len(LATTICE_Z_TRIPLES)} triples",
         ),
     }
     if args.suite not in suites:

@@ -16,7 +16,9 @@ row: on a star-shaped plumbing, center first, each row of the factor
 holds at most three entries.  It decides negative definiteness
 (every pivot d_i > 0), gives the determinant det q = (-1)^n prod d_i and
 with it unimodularity, and drives both searches below: the enumeration
-of the norm -1 vectors and the characteristic search.
+of the norm -1 vectors and the characteristic search.  Its one solve
+of q x = b gives the parity vector (the integer solution of q x = diag q,
+reduced mod 2) and the inverse (one solve per unit vector).
 
 Theta invariant.  For a negative definite unimodular form q,
 
@@ -36,7 +38,11 @@ Splitting.  Write q = <-1>^k + R with R free of norm -1 vectors.  The
 norm -1 vectors of q are then exactly +-e_1, ..., +-e_k, pairwise
 orthogonal, so one exhaustive Fincke-Pohst enumeration of the vectors of
 norm -1 finds all k summands at once, and R is the common kernel of their
-k pairings, again unimodular.  The split is computed once per form and
+k pairings, again unimodular, and empty when k = n.  Orthogonality is
+certified in O(kn): by Cauchy-Schwarz on the positive definite -q,
+|q(v, w)| <= 1 for vectors of norm -1, with equality only at w = +-v, so
+representatives that each have norm -1 and are pairwise distinct up to
+sign are pairwise orthogonal.  The split is computed once per form and
 cached on it.  The residual of a plumbing form may be empty, even or odd:
 Sigma(2,3,7) splits completely, Sigma(2,7,13) leaves an even residual of
 rank 16 and Sigma(3,5,7) an odd one of rank 12.  A residual -E8, as for
@@ -46,6 +52,7 @@ negative definite).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -65,7 +72,10 @@ MAX_PLUMBING_RANK = 2000
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in rows)
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -248,52 +258,38 @@ def _ldl(m: Matrix) -> Tuple[List[Fraction], List[Dict[int, Fraction]]]:
     return d, u
 
 
-def _invert_fraction(m: Matrix) -> List[List[Fraction]]:
-    """Exact inverse via Gauss-Jordan over Fractions."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _solve(q: IntegerQuadraticForm, b: Sequence[int]) -> List[Fraction]:
+    """The exact solution x of q x = b on the cached LDL -q = U^T D U of a
+    negative definite q: U^T y = -b forward, then U x = y / d backward,
+    over the nonzeros of U."""
+    d, u = q._negated_ldl()
+    y = [Fraction(-t) for t in b]
+    for i, row in enumerate(u):
+        for j, uij in row.items():
+            y[j] -= uij * y[i]
+    x = [Fraction(0)] * len(d)
+    for i in reversed(range(len(d))):
+        x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i].items())
+    return x
 
 
 def form_inverse(q: IntegerQuadraticForm) -> List[List[Fraction]]:
-    return _invert_fraction(q.matrix)
+    """q^-1, one solve per unit vector, for q negative definite."""
+    if not q.is_negative_definite():
+        raise ValueError("the inverse is solved on the LDL of a negative definite form")
+    n = q.rank
+    return [_solve(q, [int(i == j) for j in range(n)]) for i in range(n)]
 
 
-def _solve_parity(m: Matrix) -> List[int]:
-    """Solve A x = diag(A) (mod 2); for |det A| odd the solution class is
-    unique mod 2, so this pins the characteristic coset xi0 + 2 Lambda."""
-    n = len(m)
-    rows = [[m[i][j] & 1 for j in range(n)] + [m[i][i] & 1] for i in range(n)]
-    piv_of_col = [-1] * n
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-        piv_of_col[col] = r
-        r += 1
-    x = [0] * n
-    for col in range(n):
-        if piv_of_col[col] >= 0:
-            x[col] = rows[piv_of_col[col]][n]
-        # free columns (singular mod 2) default to 0; callers require
-        # unimodular input where this does not occur
-    return x
+def _characteristic_vector(q: IntegerQuadraticForm) -> List[int]:
+    """xi0 in {0, 1}^n with q xi0 = diag q (mod 2), so xi0 + 2 Lambda is the
+    characteristic coset: the solution of q x = diag q, reduced mod 2.
+    For |det q| = 1 that solution is integral and its class mod 2 is
+    unique; a non-integral one raises InvariantError."""
+    x = _solve(q, [q.matrix[i][i] for i in range(q.rank)])
+    if any(t.denominator != 1 for t in x):
+        raise InvariantError("q x = diag q has no integer solution: q is not unimodular")
+    return [int(t) % 2 for t in x]
 
 
 def _min_norm_search(
@@ -379,7 +375,7 @@ def _theta_search(q: IntegerQuadraticForm) -> int:
     the oracle of the tests and `seifinv verify lattice`."""
     n = q.rank
     d, u = q._negated_ldl()
-    parity = _solve_parity(q.matrix)
+    parity = _characteristic_vector(q)
     # the characteristic vector xi0 = parity gives the initial bound -q(xi0)
     ones = [i for i in range(n) if parity[i]]
     start = Fraction(-sum(q.matrix[i][j] for i in ones for j in ones))
@@ -478,15 +474,18 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
     reps = [v for v in found if next(t for t in v if t) > 0]
     # the n x k products q v give every pairing below in O(n) each
     pairings = [_times(q.matrix, v) for v in reps]
-    for a, p in enumerate(pairings):
-        for b, v in enumerate(reps):
-            if _dot(p, v) != (-1 if a == b else 0):
-                raise InvariantError("norm -1 representatives must be pairwise orthogonal")
-    basis = _identity(n)
-    for p in pairings:
-        basis = _kernel_basis_of_functional([_dot(p, b) for b in basis], basis)
+    # by Cauchy-Schwarz on -q, distinct representatives of norm -1 are
+    # pairwise orthogonal
+    if any(_dot(p, v) != -1 for p, v in zip(pairings, reps)):
+        raise InvariantError("norm -1 representatives must have norm -1")
+    if len(set(map(tuple, reps))) < len(reps):
+        raise InvariantError("norm -1 representatives must be distinct, hence pairwise orthogonal")
     residual = None
-    if basis:
+    # k = n orthogonal norm -1 vectors span a unimodular sublattice of full rank: all of q
+    if len(reps) < n:
+        basis = _identity(n)
+        for p in pairings:
+            basis = _kernel_basis_of_functional([_dot(p, b) for b in basis], basis)
         qb = [_times(q.matrix, b) for b in basis]
         residual = IntegerQuadraticForm([[_dot(b, c) for c in qb] for b in basis])
         if not (residual.is_negative_definite() and residual.is_unimodular()):

@@ -281,7 +281,7 @@ def test_verify_suites_pass(capsys):
         (
             ("lattice",),
             "Gamma(2,3,7) matrix, 3 Theta values, 8 splittings, "
-            "Theta against the full-rank search on 6 forms",
+            "Theta against the full-rank search on 6 forms, Theta = Z on 10 triples",
         ),
     ]:
         assert run(capsys, "verify", *argv) == (0, f"verify {argv[0]}: ok ({checked})\n")
@@ -384,6 +384,13 @@ def test_verify_lattice_catches_wrong_split(capsys, monkeypatch):
     code, out = run(capsys, "verify", "lattice")
     assert code == 1
     assert "(3, 11, 13)" in out and "full-rank search gives 8" in out
+
+
+def test_verify_lattice_checks_theta_against_Z(capsys, monkeypatch):
+    z = swfloer.froyshov_Z
+    monkeypatch.setattr(swfloer, "froyshov_Z", lambda a, b, c: z(a, b, c) + 8 * (c == 23))
+    code, out = run(capsys, "verify", "lattice")
+    assert (code, out) == (1, "verify lattice: FAIL: Theta(Gamma_(2, 3, 23)) = 8, but Z = 16\n")
 
 
 def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):

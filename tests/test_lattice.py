@@ -14,6 +14,7 @@ from seifinv.cli import PLUMBING_237, main
 from seifinv.lattice import (
     IntegerQuadraticForm,
     _identity,
+    _characteristic_vector,
     _kernel_basis_of_functional,
     _ldl,
     _min_norm_search,
@@ -188,6 +189,8 @@ def test_determinant_refuses_indefinite_form():
         q.determinant
     with pytest.raises(ValueError):
         q.is_unimodular()
+    with pytest.raises(ValueError):
+        form_inverse(q)
     assert not q.is_negative_definite()
 
 
@@ -197,6 +200,10 @@ def test_form_refuses_ragged_and_asymmetric_matrices():
             IntegerQuadraticForm(rows)
     for rows in ([[-2, 1], [0, -2]], [[-2, 0, 1], [0, -2, 0], [0, 0, -2]]):
         with pytest.raises(ValueError, match="symmetric"):
+            IntegerQuadraticForm(rows)
+    # entries are never truncated: these once froze to <-1>^2, -1 and -1
+    for rows in ([[-1.9, 0.5], [0.5, -1.2]], [[Fraction(-3, 2)]], [["-1"]], [[-1.0]]):
+        with pytest.raises(ValueError, match="integers"):
             IntegerQuadraticForm(rows)
     assert IntegerQuadraticForm([]).rank == 0
     assert IntegerQuadraticForm([[-2, 1], [1, -2]]).matrix == ((-2, 1), (1, -2))
@@ -357,6 +364,36 @@ def test_ldl_of_plumbing_form_is_sparse():
         assert sum(len(row) for row in u) <= 3 * q.rank, t
 
 
+def test_characteristic_vector_solves_parity():
+    rng = random.Random(43)
+    forms = [q for _, q in _oracle_conjugates(rng)]
+    forms += [plumbing_form(2, 3, c) for c in (1801, 4201)]  # ranks 303 and 703
+    for q in forms:
+        x = _characteristic_vector(q)
+        assert set(x) <= {0, 1}
+        qx = lattice._times(q.matrix, x)
+        assert all((qx[i] - q.matrix[i][i]) % 2 == 0 for i in range(q.rank))
+
+
+def test_characteristic_vector_refuses_non_unimodular():
+    # det 5: q x = diag q has the solution x = (9/5, 8/5)
+    q = IntegerQuadraticForm([[-2, 1], [1, -3]])
+    assert q.is_negative_definite() and q.determinant == 5
+    with pytest.raises(InvariantError, match="integer solution"):
+        _characteristic_vector(q)
+
+
+def test_form_inverse_on_conjugates():
+    rng = random.Random(47)
+    for _, q in _oracle_conjugates(rng):
+        inv = form_inverse(q)
+        n = q.rank
+        product = [
+            [sum(inv[i][r] * q.matrix[r][j] for r in range(n)) for j in range(n)] for i in range(n)
+        ]
+        assert product == _identity(n)
+
+
 def test_theta_through_split_matches_full_rank_search():
     rng = random.Random(23)
     for base, q in _oracle_conjugates(rng):
@@ -476,6 +513,25 @@ def test_split_refuses_repeated_representative(monkeypatch):
     monkeypatch.setattr(lattice, "_norm_one_vectors", lambda q: [[1, 0], [-1, 0]] * 2)
     with pytest.raises(InvariantError, match="orthogonal"):
         hnk_split_diagonalize(diagonal_form([-1, -1]))
+
+
+def test_split_refuses_representative_of_wrong_norm(monkeypatch):
+    # +-(1, 1) has norm -2 on <-1>^2; orthogonality is certified only for
+    # representatives of norm -1
+    monkeypatch.setattr(lattice, "_norm_one_vectors", lambda q: [[1, 1], [-1, -1]])
+    with pytest.raises(InvariantError, match="must have norm -1"):
+        hnk_split_diagonalize(diagonal_form([-1, -1]))
+
+
+def test_complete_split_makes_no_kernel_step(monkeypatch):
+    # at k = n the residual is empty by rank
+    def refuse(c, cols):
+        raise AssertionError("kernel step in a complete split")
+
+    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", refuse)
+    for c in (97, 1801):
+        q = plumbing_form(2, 3, c)
+        assert hnk_split_diagonalize(q) == (q.rank, None), c
 
 
 def test_split_refuses_non_unimodular_residual(monkeypatch):
