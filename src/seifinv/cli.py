@@ -26,7 +26,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -128,19 +128,14 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> range:
 # report rows
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    triple: Tuple[int, int, int]
-    F: Fraction
-    eight_m: int
-    Z: Fraction
-    P: swf.LaurentPolynomial
+class ReportRow(namedtuple("ReportRow", "triple F eight_m Z P")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.Z != self.eight_m + self.F:
-            raise InvariantError(
-                f"row {self.triple} inconsistent: Z = {self.Z} != 8m + F = {self.eight_m + self.F}"
-            )
+    def __new__(cls, triple: Tuple[int, int, int], F: Fraction, eight_m: int, Z: Fraction,
+                P: swf.LaurentPolynomial):
+        if Z != eight_m + F:
+            raise InvariantError(f"row {triple} inconsistent: Z = {Z} != 8m + F = {eight_m + F}")
+        return super().__new__(cls, triple, F, eight_m, Z, P)
 
 
 def compute_row(a: int, b: int, c: int) -> ReportRow:
@@ -283,6 +278,11 @@ def _cmd_eta(args, parser) -> int:
 
     if args.at is not None:
         s = _parse_fraction(args.at, parser, "--at")
+        if sum(N.alphas) > eta_mod.MAX_SERIES_ALPHA_SUM:
+            parser.error(
+                f"--at {args.at}: sum of alphas {sum(N.alphas)} exceeds "
+                f"{eta_mod.MAX_SERIES_ALPHA_SUM}: the eta series is too large to evaluate"
+            )
         try:
             val = eta_mod.eta_series(ctx, s, args.digits)
         except ValueError as exc:
@@ -310,7 +310,7 @@ def _cmd_swf(args, parser) -> int:
         payload = {
             "triple": [a, b, c],
             "delta": [
-                {"point": list(p.as_tuple()), "energy": _fmt(e), "n_plus": n}
+                {"point": list(p), "energy": _fmt(e), "n_plus": n}
                 for (p, n), e in rows
             ],
             "P": P.to_json(),
@@ -320,7 +320,7 @@ def _cmd_swf(args, parser) -> int:
         return 0
     print(f"Sigma({a},{b},{c}): |Delta| = {len(graded)}")
     for (p, n), e in rows:
-        print(f"  {p.as_tuple()}: n_+ = {n}, E = {_fmt(e)}")
+        print(f"  {tuple(p)}: n_+ = {n}, E = {_fmt(e)}")
     print(f"P = {P}")
     return 0
 

@@ -53,7 +53,7 @@ negative definite).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,22 +78,31 @@ def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
         raise ValueError("matrix entries must be integers") from None
 
 
-@dataclass(frozen=True)
 class IntegerQuadraticForm:
-    """Symmetric integer matrix with cached definiteness metadata."""
+    """Symmetric integer matrix with cached definiteness metadata.  Equal
+    and hashed by its matrix; the cache is not part of its value."""
 
-    matrix: Matrix
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    __slots__ = ("_matrix", "_cache")
+    matrix = property(operator.attrgetter("_matrix"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        n = len(self.matrix)
-        for row in self.matrix:
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        matrix = _freeze(matrix)
+        n = len(matrix)
+        for row in matrix:
             if len(row) != n:
                 raise ValueError("matrix must be square")
         # row i against column i, lazily: no transposed copy of the n^2 cells
-        if not all(map(tuple.__eq__, self.matrix, zip(*self.matrix))):
+        if not all(map(tuple.__eq__, matrix, zip(*matrix))):
             raise ValueError("matrix must be symmetric")
+        self._matrix, self._cache = matrix, {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._matrix == other._matrix
+
+    def __repr__(self) -> str:
+        return f"IntegerQuadraticForm(matrix={self._matrix!r})"
 
     @property
     def rank(self) -> int:
@@ -126,16 +135,14 @@ class IntegerQuadraticForm:
         return abs(self.determinant) == 1
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self._matrix)
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(namedtuple("PlumbingGraph", "center_weight arms")):
     """Star-shaped plumbing tree: a central vertex weight plus arms of
     consecutive weights (center first)."""
 
-    center_weight: int
-    arms: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -84,10 +84,10 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, log10
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
 
 if TYPE_CHECKING:
@@ -142,7 +142,6 @@ def psi2(x: Rational) -> Fraction:
     return f * f - f + Fraction(1, 6)
 
 
-@dataclass(frozen=True)
 class BigFloat:
     """An mpmath float tagged with its decimal precision and an absolute
     error estimate.
@@ -152,9 +151,25 @@ class BigFloat:
     module docstring); it is not a rigorous bound.
     """
 
-    value: mpmath.mpf
-    digits: int
-    eps: mpmath.mpf
+    # read-only fields, but not a tuple: a number must not unpack or serialise as a JSON array
+    __slots__ = ("_value", "_digits", "_eps")
+    value = property(attrgetter("_value"))
+    digits = property(attrgetter("_digits"))
+    eps = property(attrgetter("_eps"))
+
+    def __init__(self, value: mpmath.mpf, digits: int, eps: mpmath.mpf):
+        self._value, self._digits, self._eps = value, digits, eps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._value, self._digits, self._eps) == (other._value, other._digits, other._eps)
+
+    def __hash__(self):
+        return hash((self._value, self._digits, self._eps))
+
+    def __repr__(self) -> str:
+        return f"BigFloat(value={self._value!r}, digits={self._digits!r}, eps={self._eps!r})"
 
     def __str__(self) -> str:
         from mpmath import mp

@@ -33,49 +33,46 @@ along a regular fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
 from seifinv.numkernel import InvariantError, frac
 
 
-@dataclass(frozen=True)
-class Orbifold:
+class Orbifold(namedtuple("Orbifold", "genus alphas")):
     """Closed oriented 2-orbifold of genus ``genus`` with cone points of
     orders ``alphas`` (each >= 2)."""
 
-    genus: int
-    alphas: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        for a in self.alphas:
+    def __new__(cls, genus: int, alphas: Tuple[int, ...]):
+        alphas = tuple(int(a) for a in alphas)
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        for a in alphas:
             if a < 2:
                 raise ValueError(f"isotropy orders must be >= 2, got {a}")
+        return super().__new__(cls, genus, alphas)
 
     @property
     def num_cone_points(self) -> int:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class VLineBundle:
+class VLineBundle(namedtuple("VLineBundle", "base smooth_degree gammas")):
     """Line V-bundle: smooth degree plus normalized cone-point weights."""
 
-    base: Orbifold
-    smooth_degree: int
-    gammas: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
-        if len(self.gammas) != self.base.num_cone_points:
+    def __new__(cls, base: Orbifold, smooth_degree: int, gammas: Tuple[int, ...]):
+        gammas = tuple(int(g) for g in gammas)
+        if len(gammas) != base.num_cone_points:
             raise ValueError("one weight per cone point required")
-        for g, a in zip(self.gammas, self.base.alphas):
+        for g, a in zip(gammas, base.alphas):
             if not 0 <= g < a:
                 raise ValueError(f"weight {g} not normalized for isotropy {a}")
+        return super().__new__(cls, base, smooth_degree, gammas)
 
 
 def rational_degree(L: VLineBundle) -> Fraction:

@@ -21,7 +21,7 @@ orientation convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Tuple
@@ -30,23 +30,21 @@ from seifinv.numkernel import InvariantError
 from seifinv.orbifold import Orbifold, VLineBundle
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(namedtuple("SeifertData", "base betas smooth_degree")):
     """Normalized Seifert invariant (g; b; alphas, betas)."""
 
-    base: Orbifold
-    betas: Tuple[int, ...]
-    smooth_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(int(b) for b in self.betas))
-        if len(self.betas) != self.base.num_cone_points:
+    def __new__(cls, base: Orbifold, betas: Tuple[int, ...], smooth_degree: int):
+        betas = tuple(int(b) for b in betas)
+        if len(betas) != base.num_cone_points:
             raise ValueError("one beta per cone point required")
-        for a, b in zip(self.base.alphas, self.betas):
+        for a, b in zip(base.alphas, betas):
             if not 0 < b < a:
                 raise ValueError(f"beta = {b} not normalized for alpha = {a}")
             if gcd(a, b) != 1:
                 raise ValueError(f"(alpha, beta) = ({a}, {b}) not coprime")
+        return super().__new__(cls, base, betas, smooth_degree)
 
     @property
     def alphas(self) -> Tuple[int, ...]:

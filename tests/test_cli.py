@@ -347,6 +347,23 @@ def test_oversized_plumbing_exit_2():
     assert len(errors) == 1 and "rank 16674 exceeds" in errors[0]
 
 
+def test_oversized_eta_series_exit_2():
+    # Sigma(2,3,10^7+1): the series would need about 9 GB, so --at must be
+    # refused before any term is built; Sigma(2,3,100003), the size the
+    # series is measured at, stays accepted
+    proc = _python(
+        "-m", "seifinv.cli", "eta", "--brieskorn", "2,3,10000001", "--at=1/2", limit_bytes=1 << 30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("seifinv: error:")]
+    assert errors == [
+        "seifinv: error: --at 1/2: sum of alphas 10000006 exceeds 200000: "
+        "the eta series is too large to evaluate"
+    ]
+    assert 2 + 3 + 100003 <= eta_mod.MAX_SERIES_ALPHA_SUM < 10000006
+
+
 def test_report_row_check_survives_optimize():
     code = (
         "from fractions import Fraction\n"
@@ -417,7 +434,10 @@ def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):
 
 def test_exact_commands_never_import_mpmath():
     # numkernel loads mpmath on the first numeric call, so only the eta
-    # series (--at) pays for its import
+    # series (--at) pays for its import.  No command, --at included, loads
+    # dataclasses or inspect (about 15-20 ms of start-up): the value types
+    # are namedtuples.  Modules are counted as added to a snapshot taken
+    # before the import, so whatever site loaded before it does not count.
     commands = [
         ["plumbing", "--brieskorn", "2,3,65", "--theta", "--diagonalize"],
         ["froyshov", "--brieskorn", "5,9,11"],
@@ -428,17 +448,27 @@ def test_exact_commands_never_import_mpmath():
     ]
     code = (
         "import contextlib, io, sys\n"
+        "known = set(sys.modules)\n"
+        "def added():\n"
+        "    new = set(sys.modules) - known\n"
+        "    known.update(new)\n"
+        "    return sorted(new & {'dataclasses', 'inspect'})\n"
         "from seifinv.cli import main\n"
         "seen = ['mpmath' in sys.modules]\n"
+        "heavy = [added()]\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        seen.append((main(argv), 'mpmath' in sys.modules))\n"
+        "    heavy.append(added())\n"
         "print(seen)\n"
+        "print(heavy)\n"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
+    seen, heavy = proc.stdout.strip().splitlines()
     loaded = [False] + [(0, False)] * 5 + [(0, True)]
-    assert proc.stdout.strip() == repr(loaded)
+    assert seen == repr(loaded)
+    assert heavy == repr([[]] * (1 + len(commands)))
 
 
 @pytest.mark.parametrize(
