@@ -10,8 +10,9 @@ Exact layer (fractions.Fraction throughout):
 Numeric layer (mpmath-backed BigFloat with an explicit decimal-digit
 precision and a carried absolute error estimate):
 
-    hurwitz_zeta(s, a)    zeta(s, a) = sum_{n>=0} (n + a)^(-s), a > 0,
-                          by mpmath.zeta; exact at integer s <= 0
+    hurwitz_zeta(s, a)    zeta(s, a) = sum_{n>=0} (n + a)^(-s), a > 0
+                          rational, by one Euler-Maclaurin pass; exact at
+                          integer s <= 0
     riemann_zeta(s)       zeta(s, 1)
     hurwitz_sum(terms)    sum of w p^(-s) zeta(s, a) over a mapping
                           (s, p, a) -> exact weight w: the one kernel
@@ -50,23 +51,52 @@ the number of keys (with alpha, for an eta series).  The keys are paired by
 series at s is made, has h and -h, so its even moments vanish exactly and
 their centre values are never evaluated.  The moments are exact integer
 power sums over a common denominator; only the powers a^(-s), (1 + a)^(-s)
-and p^(-s) are floating, two per key.  The centre values go through
-hurwitz_zeta, with its pole guard and its eps.  One hurwitz_zeta call per
-distinct a is made instead for a group of keys no larger than the centre
-values it would need (such as the one or two s - 1 keys of an eta series),
-for keys with a > 1, and for s within 1/100 of an integer <= 1, where some
-s + j meets or grazes the pole.
+and p^(-s) are floating, two per key.  All the centre values of a group
+come from one Euler-Maclaurin pass (below).  One hurwitz_zeta call per
+distinct a is made instead for a group whose keys are at most 1/8 of the
+centre values it would need (such as the one or two s - 1 keys of an eta
+series), for keys with a > 1, and for s within 1/100 of an integer <= 1,
+where some s + j meets or grazes the pole.
 
-The error estimate eps is not a rigorous bound.  Each Hurwitz value is one
-mpmath.zeta evaluation at precision + 15 working digits, which raises its
-own working precision until the Euler-Maclaurin sum shows no cancellation;
-its eps is 10^-(precision+12) relative to max(1, |value|), three digits
-short of that working precision.  hurwitz_sum works at the same
-precision + 15 digits; its eps adds
+Euler-Maclaurin pass.  Every non-exact Hurwitz value, the centre values
+and the per-key values alike, comes from _em_shifts, which returns
+zeta(s + j, a) for a run of shifts j from one pass over a = p/q:
+
+    zeta(s, a) = sum_{k<N} (k + a)^-s + X^(1-s) / (s - 1) + X^-s / 2
+                 + sum_{m=1}^{M} B_2m / (2m)! (s)_(2m-1) X^(1-s-2m) + R,
+
+with X = N + a and (s)_n the rising factorial.  The N + 1 powers
+(k + a)^-s are the only mpmath operations: they are computed once, at a
+precision P = F + log2 of the largest power + 16 bits, and turned into
+integers in units of 2^-F.  Everything else is integer arithmetic: each
+shift multiplies every power by q / (qk + p), the Bernoulli terms run
+through the exact rising factorials, and B_2m / (2m)! comes from the
+tangent numbers (Brent-Harvey), cached per (M, P).  N and M are chosen
+once per pass so that Johansson's bound for real s with s + 2M - 1 > 0
+(Rigorous high-precision computation of the Hurwitz zeta function and its
+derivatives, Numer. Algorithms 2015),
+
+    |R| <= 4 |(s)_2M| / (2 pi)^2M X^(1-s-2M) / (s + 2M - 1),
+
+is at most 2^-T at every shift, 2^-T ~ 10^-(precision+15) times the scale
+of the value (max(1, a^-s) for s > 1, 1 otherwise); F is T plus 10 guard
+bits.  The log2 of the largest power in P is what keeps a value accurate
+when the sum cancels, as it does at negative s, where the powers grow
+with k and the value does not.
+
+The error estimate eps.  The eps of a Hurwitz value is that remainder
+bound plus a count of its fixed-point roundings times 2^-F (two units per
+power, one more per shift and per integer product, weighted by how the
+later products scale them) and the rounding of the result to
+precision + 15 digits.  Only the powers are not covered by a proof: their
+error is taken as one mpmath rounding at P bits, which is an estimate
+(ROADMAP item 6).  hurwitz_sum works at precision + 15 digits; its eps
+adds
 
   - 10^-(precision+12) times the sum of the magnitudes of every term it
-    adds: |w p^-s a^-s| and |w p^-s (1 + a)^-s| per key, and
-    |(s)_j / j!| |zeta(s + j, 5/2)| sum |w p^-s| |h|^j per centre value;
+    adds: |w p^-s a^-s| and |w p^-s (1 + a)^-s| per key,
+    |(s)_j / j!| |zeta(s + j, 5/2)| sum |w p^-s| |h|^j per centre value,
+    and |w p^-s zeta(s, a)| per key evaluated one by one;
   - the centre values' own eps, weighted by |(s)_j / j!| sum |w p^-s| |h|^j;
   - the truncation tail, explicit: past J each term is at most
     |(s)_j / j!| zb(s + j) 2^-j sum |w p^-s| with
@@ -74,10 +104,11 @@ precision + 15 digits; its eps adds
     shrink by about 1/5 per step once j > |s|;
   - for keys evaluated one by one, |w p^-s| times each value's eps.
 
-tests/test_numkernel.py checks the per-value eps against a 2p+20-digit
-reference over a seeded corpus of s in [-25, 25] and a in (0, 2], and the
-moments of hurwitz_sum against per-key values; tests/test_eta.py checks the
-eps of whole eta series against a term-by-term reference.
+tests/test_numkernel.py checks every shift of the pass and the per-value
+eps against mpmath's independent rational-a route at 2p+20 digits, over a
+seeded corpus of s in [-25, 25] and a in (0, 2], and the moments of
+hurwitz_sum against per-key values; tests/test_eta.py checks the eps of
+whole eta series against a term-by-term reference.
 """
 
 from __future__ import annotations
@@ -86,9 +117,9 @@ import threading
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, log10
+from math import ceil, comb, lcm, log2, log10, pi
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple, Union
 
 if TYPE_CHECKING:
     import mpmath
@@ -211,13 +242,29 @@ def _nonpositive_integer(s) -> bool:
     return s <= 0 and s == int(s)
 
 
+@lru_cache(maxsize=8)
+def _tangent_numbers(n: int) -> Tuple[int, ...]:
+    """T_1, ..., T_n, with tan x = sum_k T_k x^(2k-1) / (2k-1)!, by the
+    all-integer recurrence of Brent and Harvey (Fast computation of
+    Bernoulli, tangent and secant numbers, 2011): O(n^2) additions and
+    small multiplications, no division."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1 : n + 1])
+
+
 @lru_cache(maxsize=64)
 def _bernoulli_numbers(m: int) -> Tuple[Fraction, ...]:
-    """B_0, ..., B_m (B_1 = -1/2), from sum_{k<=n} C(n+1, k) B_k = 0."""
-    b = [Fraction(1)]
-    for n in range(1, m + 1):
-        b.append(-sum(comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
-    return tuple(b)
+    """B_0, ..., B_m (B_1 = -1/2), from the tangent numbers:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), B_odd = 0 past B_1."""
+    b = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (m - 1)
+    for k, t in enumerate(_tangent_numbers(m // 2), start=1):
+        b[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t, (4**k) * (4**k - 1))
+    return tuple(b[: m + 1])
 
 
 def _zeta_nonpositive(n: int, a: Fraction) -> Fraction:
@@ -227,14 +274,173 @@ def _zeta_nonpositive(n: int, a: Fraction) -> Fraction:
     return -sum(comb(m, k) * b[k] * a ** (m - k) for k in range(m + 1)) / m
 
 
+#: Bits of the fixed point below the requested accuracy 2^-T of a value:
+#: the roundings of a pass, a few hundred units of 2^-F, stay below 2^-T.
+_EM_GUARD_BITS = 10
+
+_LOG2_2PI = log2(2 * pi)
+
+
+def _log2(x: Fraction) -> float:
+    """log2 |x| of a nonzero rational, from its integers (no float overflow
+    or underflow)."""
+    return log2(abs(x.numerator)) - log2(x.denominator)
+
+
+@lru_cache(maxsize=16)
+def _em_coefficients(M: int, P: int) -> Tuple[Tuple[int, int], ...]:
+    """(c, e) with B_2m / (2m)! = c 2^-e to a relative 2^(1-P), m = 1..M."""
+    tangent = _tangent_numbers(M)
+    out = []
+    fact = 1  # (2m - 1)!
+    for m in range(1, M + 1):
+        if m > 1:
+            fact *= (2 * m - 2) * (2 * m - 1)
+        # B_2m / (2m)! = (-1)^(m-1) T_m / ((2m - 1)! 4^m (4^m - 1))
+        den = (fact << 2 * m) * ((1 << 2 * m) - 1)
+        e = P + den.bit_length() - tangent[m - 1].bit_length()
+        c = (tangent[m - 1] << e) // den
+        out.append((c if m % 2 else -c, e))
+    return tuple(out)
+
+
+def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[BigFloat]:
+    """zeta(s + step i, a) for i < J, from one Euler-Maclaurin pass over
+    the rational a = p/q > 0 (module docstring).
+
+    The N + 1 powers (k + a)^-s, k <= N, are the only mpmath operations;
+    every later shift multiplies them by (q / (qk + p))^step in integer
+    fixed point.  eps of each value is the remainder bound at its shift plus its
+    count of fixed-point roundings times 2^-F and the final rounding to
+    precision + 15 digits."""
+    from mpmath import mp
+    from mpmath.libmp import to_fixed
+
+    s, a = Fraction(s), Fraction(a)
+    p, q = a.numerator, a.denominator
+    sn, sd = s.numerator, s.denominator
+    sigmas = [s + step * i for i in range(J)]
+    if 1 in sigmas:
+        raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
+    fs = sn / sd
+    # T: the value is wanted to 2^-T times its scale, max(1, a^-s) for s > 1
+    # (every term is then positive) and 1 otherwise; F: the fixed-point unit
+    T = ceil((precision + _GUARD_DIGITS) * log2(10))
+    if s > 1 and a < 1:
+        T -= int(-fs * _log2(a))
+    F = T + _EM_GUARD_BITS
+    lsd = log2(sd)
+    logs = [0.0]  # logs[t] = log2 |(s)_t|
+
+    def log_rising(u, n):
+        while len(logs) <= u + n:
+            t = len(logs) - 1
+            logs.append(logs[t] + log2(abs(sn + t * sd)) - lsd)
+        return logs[u + n] - logs[u]
+
+    # X = N + a and M: Johansson's bound on the remainder after M Bernoulli
+    # terms at s' = s + u, for s' + 2M - 1 > 0,
+    #   |R| <= 4 |(s')_2M| / (2 pi)^2M X^(1 - s' - 2M) / (s' + 2M - 1),
+    # must be at most 2^-T at every shift.  N ~ 0.13 T balances the mpmath
+    # powers against the integer Bernoulli terms; 2 pi X > 2 |s'| keeps the
+    # terms falling.  Should they stop falling above 2^-T, N grows by half.
+    N = max(1, ceil(max(0.13 * max(T, 16), max(abs(float(x)) for x in sigmas) / pi) + 1 - a))
+    shifts = range(0, step * J, step)
+    while True:
+        xn = q * N + p  # X = xn / q
+        lX = log2(xn) - log2(q)
+
+        def log_bound(u, M):
+            x = sn + (u + 2 * M - 1) * sd  # (s' + 2M - 1) sd
+            return 2 + log_rising(u, 2 * M) - 2 * M * _LOG2_2PI - (x / sd) * lX - log2(x) + lsd
+
+        # M from the first shift, then raised until every shift meets 2^-T
+        M = max(1, (sd - sn) // (2 * sd) + 1)  # the least M with s + 2M - 1 > 0
+        bound = log_bound(0, M)
+        while bound > -T and (following := log_bound(0, M + 1)) < bound:
+            M, bound = M + 1, following
+        bound = max(log_bound(u, M) for u in shifts)
+        while bound > -T and (following := max(log_bound(u, M + 1) for u in shifts)) < bound:
+            M, bound = M + 1, following
+        if bound <= -T:
+            break
+        N += (N + 1) // 2
+
+    # P: the precision of the powers, F plus log2 of the largest of them,
+    # so that each is exact to 2^-F however much the sum cancels
+    P = max(F + ceil(max(-fs * _log2(a), -fs * lX)), 0) + 16
+    Pc = -(-P // 64) * 64
+    coeffs = _em_coefficients(-(-M // 64) * 64, Pc)
+    with MP_LOCK:
+        with mp.workprec(P):
+            ms = mp.mpf(-sn) / sd
+            powers = [to_fixed(((mp.mpf(q * k + p) / q) ** ms)._mpf_, F) for k in range(N + 1)]
+        tX = powers.pop()
+        dens = [(q * k + p) ** step for k in range(N)]
+        qs, xs = q**step, xn**step
+        X2 = sd * sd * xn * xn
+        g_scale = q * q / X2 / (2 * pi) ** 2
+        out = []
+        # per-unit rounding counts: each power starts within 2 units, and a
+        # shift by q / (qk + p) adds one; only k = 0 with a < 1 grows them
+        small = a < 1
+        Mi = M
+        for i, sigma in enumerate(sigmas):
+            u = step * i
+            su = sn + u * sd  # sigma = su / sd
+            # the fewest Bernoulli terms that meet 2^-T at this shift
+            least = max(1, (sd - su) // (2 * sd) + 1)
+            Mi = max(Mi, least)
+            while log_bound(u, Mi) > -T:
+                Mi += 1
+            while Mi > least and log_bound(u, Mi - 1) <= -T:
+                Mi -= 1
+            bound = log_bound(u, Mi)
+            e_X = 2 + i
+            count = (N - small) * (2 + i) + (small and (2 + i) * 2.0 ** (-u * _log2(a)))
+            total = sum(powers) + (tX >> 1) + tX * xn * sd // (q * (su - sd))
+            count += e_X / 2 + 1 + e_X * (xn / q) / abs(sigma - 1) + 1
+            # r_m = (sigma)_(2m-1) X^(1 - sigma - 2m); w bounds its rounding
+            # error over (2 pi)^2m, and |B_2m / (2m)!| <= 3.3 (2 pi)^-2m
+            r = tX * su * q // (sd * xn)
+            w = (e_X * abs(su / sd) * q / xn + 1) / (2 * pi) ** 2
+            size = 0
+            for m in range(1, Mi + 1):
+                c, e = coeffs[m - 1]
+                t = (r * c) >> e
+                total += t
+                size += abs(t)
+                count += 3.3 * w + 1
+                A = (su + (2 * m - 1) * sd) * (su + 2 * m * sd)
+                r = r * A * q * q // X2
+                w = w * abs(A) * g_scale + (2 * pi) ** (-2 * m - 2)
+            # the coefficients' own rounding, a relative 2^(1-Pc) per term
+            count += (size >> (Pc - 1)) + Mi
+            with mp.workdps(precision + _GUARD_DIGITS):
+                value = mp.mpf((total, -F))
+                eps = (
+                    mp.mpf((ceil(count), -F))
+                    + mp.ldexp(1, ceil(bound + 1e-6))
+                    + abs(value) * mp.ldexp(1, 1 - mp.prec)
+                )
+            out.append(BigFloat(value, precision, eps))
+            if i + 1 < J:
+                powers = [t * qs // d for t, d in zip(powers, dens)]
+                tX = tX * qs // xs
+        return out
+
+
 def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     """zeta(s, a) = sum_{n>=0} (n + a)^(-s) for a > 0, s != 1.
 
-    At an integer s <= 0 the value is the exact -B_{1-s}(a) / (1 - s);
-    elsewhere it is one mpmath.zeta evaluation at precision + 15 working
-    digits, with the error estimate eps = 10^-(precision+12) max(1, |value|).
-    eps is checked against a high-precision reference over a tested corpus;
-    it is not a rigorous bound.
+    a must be rational.  At an integer s <= 0 the value is the exact
+    -B_{1-s}(a) / (1 - s); elsewhere it is one Euler-Maclaurin pass,
+    _em_shifts(s, a, 1, precision)[0], aimed at 10^-(precision+15) times
+    max(1, a^-s) for s > 1 and absolute otherwise.  eps is Johansson's
+    remainder bound plus the pass's counted fixed-point roundings; the
+    mpmath powers inside it are the one estimated part (module docstring).
+    eps is checked against mpmath's independent rational-a route over a
+    tested corpus.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -246,12 +452,9 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     from mpmath import mp
 
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        s_mpf = _as_mpf(s)
-        if abs(s_mpf - 1) < mp.mpf(10) ** (-precision):
+        if abs(_as_mpf(s) - 1) < mp.mpf(10) ** (-precision):
             raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
-        value = mp.zeta(s_mpf, _as_mpf(a))
-        eps = mp.mpf(10) ** (-(precision + _GUARD_DIGITS - 3)) * max(1, abs(value))
-        return BigFloat(value, precision, eps)
+    return _em_shifts(s, a, 1, precision)[0]
 
 
 def riemann_zeta(s, precision: int = 30) -> BigFloat:
@@ -262,6 +465,12 @@ def riemann_zeta(s, precision: int = 30) -> BigFloat:
 #: The Taylor centre of hurwitz_sum: zeta(s, a) for 0 < a <= 1 is expanded
 #: about zeta(s, 5/2) in h = a - 1/2, |h| / (5/2) <= 1/5.
 _CENTRE = Fraction(5, 2)
+
+#: One Euler-Maclaurin pass for the centre values of a group costs about as
+#: much as one per-key value for every _PASS_ORDERS_PER_KEY orders it
+#: carries: measured crossovers lie at 6-8 keys for 15-100 digits, where the
+#: groups carry 20-80 orders.
+_PASS_ORDERS_PER_KEY = 8
 
 
 def _taylor_length(s, digits: int) -> Tuple[int, float]:
@@ -295,10 +504,11 @@ def _near_pole(s) -> bool:
 
 def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int):
     """(sum, eps) of w p^-s zeta(s, a) over keys (p, a) -> w, one
-    hurwitz_zeta call per distinct a."""
+    hurwitz_zeta call per distinct a.  eps adds each value's eps, weighted,
+    and 10^-(precision+12) times the magnitude of every term added."""
     from mpmath import mp
 
-    total = eps = mp.mpf(0)
+    total = eps = size = mp.mpf(0)
     scales, values = {}, {}
     for (p, a), w in keys.items():
         if p not in scales:
@@ -309,16 +519,17 @@ def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: in
         wp = _as_mpf(w) * scales[p]
         total += wp * z.value
         eps += abs(wp) * z.eps
-    return total, eps
+        size += abs(wp * z.value)
+    return total, eps + mp.mpf(10) ** (-(precision + _GUARD_DIGITS - 3)) * size
 
 
-def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int, centre: dict):
+def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int):
     """(sum, eps) of w p^-s zeta(s, a) over the keys (p, a) -> w of one s.
 
-    Keys with 0 < a <= 1 go through the moment expansion (module docstring)
-    unless they are no more than the centre values it would need; the rest
-    cost one hurwitz_zeta call each.  ``centre`` caches zeta(s + j, 5/2) by
-    s + j across the groups of one hurwitz_sum."""
+    Keys with 0 < a <= 1 go through the moment expansion (module docstring),
+    its centre values zeta(s + j, 5/2) from one _em_shifts pass, unless
+    they are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need;
+    the rest cost one hurwitz_zeta call each."""
     from mpmath import mp
 
     # pair the keys of each p by |h|, h = a - 1/2: p -> {|h|: [w at +|h|, w at -|h|]}
@@ -338,7 +549,7 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
     wd = precision + _GUARD_DIGITS
     J, log_tail = _taylor_length(s, wd)
     orders = [j for j in range(J) if (even, odd)[j % 2]]
-    if len({a for _, a in keys if a <= 1}) <= len(orders):
+    if len({a for _, a in keys if a <= 1}) * _PASS_ORDERS_PER_KEY <= len(orders):
         return _per_key_sum(s, keys, precision)
 
     total, eps = _per_key_sum(s, rest, precision)
@@ -346,10 +557,8 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
     coeff = [mp.mpf(1)]  # (-1)^j (s)_j / j!
     for j in range(1, J):
         coeff.append(-coeff[-1] * _as_mpf(s + (j - 1)) / j)
-    for j in orders:
-        if s + j not in centre:
-            centre[s + j] = hurwitz_zeta(s + j, _CENTRE, precision)
     step = 2 if even != odd else 1
+    centre = dict(zip(orders, _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)))
     size = tail_weight = centre_eps = mp.mpf(0)
     for p, by_u in pairs.items():
         # exact integer moments over the common denominators D of h and Q of w
@@ -375,7 +584,7 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
                     part += W * heads
                     part_size += abs(W) * heads
         for j in orders:
-            z, scale = centre[s + j], mp.mpf(D) ** j
+            z, scale = centre[j], mp.mpf(D) ** j
             part += coeff[j] * z.value * signed[j] / scale
             part_size += abs(coeff[j] * z.value) * magnitude[j] / scale
             part_eps += abs(coeff[j]) * z.eps * magnitude[j] / scale
@@ -397,9 +606,10 @@ def hurwitz_sum(
     Zero weights are skipped.  The keys of an integer s <= 0 are summed
     exactly.  The keys of any other s share the centre values
     zeta(s + j, 5/2), j < J, of the moment expansion, J set by s and the
-    precision alone: the number of hurwitz_zeta calls does not grow with
-    the number of keys.  Where the keys of an s are no more than the centre
-    values they would need, each costs one call instead.
+    precision alone, all from one Euler-Maclaurin pass: the work does not
+    grow with the number of keys.  Where the keys of an s are at most 1/8
+    of the orders they would need, each costs one hurwitz_zeta call
+    instead.
 
     eps sums 10^-(precision+12) times the magnitude of every term added,
     the centre values' own eps, the explicit truncation tail, and the
@@ -424,9 +634,8 @@ def hurwitz_sum(
 
     with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
         total, eps = head.value, head.eps
-        centre: dict = {}
         for s, keys in groups.items():
-            part, part_eps = _group_sum(s, keys, precision, centre)
+            part, part_eps = _group_sum(s, keys, precision)
             total += part
             eps += part_eps
         return BigFloat(total, precision, eps)

@@ -36,7 +36,7 @@ from seifinv.orbifold import (
     trivial_bundle,
 )
 from seifinv.seifert import SeifertData, brieskorn
-from tests.test_numkernel import _count_hurwitz_calls
+from tests.test_numkernel import _count_centre_passes, _count_hurwitz_calls
 
 
 def _exact_mpf(x: Fraction):
@@ -289,7 +289,8 @@ def test_series_hurwitz_calls_distinct_and_alpha_independent(
 ):
     # equal keys merge before the kernel; the kernel evaluates every Hurwitz
     # value once, and the centre values of its Taylor moments are shared by
-    # all keys, so the count is set by (s, digits), not by alpha
+    # all keys and come from one Euler-Maclaurin pass, so the count and the
+    # orders of the pass are set by (s, digits), not by alpha
     ctx = trivial_flat_context(brieskorn(*triple))
     merged = defaultdict(Fraction)
     for s1, p, a, w in _series_terms(ctx, s):
@@ -297,15 +298,22 @@ def test_series_hurwitz_calls_distinct_and_alpha_independent(
     assert sum(1 for *_, w in _series_terms(ctx, s) if w) == terms
     assert sum(1 for w in merged.values() if w) == keys
     calls = _count_hurwitz_calls(monkeypatch)
+    passes = _count_centre_passes(monkeypatch)
     eta_series(ctx, s, digits)
     assert len(calls) == len(set(calls)) <= keys
-    counts = []
+    counts, orders = [], []
     for c in (101, 1001):
         calls.clear()
+        passes.clear()
         eta_series(trivial_flat_context(brieskorn(2, 3, c)), s, digits)
         assert len(calls) == len(set(calls))
         counts.append(len(calls))
+        # the s group takes all its centre values from one pass, the one or
+        # two s - 1 keys go per key
+        assert len(passes) == 1 and passes[0][0] in (s, s + 1)
+        orders.append(passes[0])
     assert counts[0] == counts[1] <= 60
+    assert orders[0] == orders[1]
 
 
 def test_series_near_nonpositive_integer_goes_per_key(monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from seifinv import numkernel
 from seifinv.numkernel import (
     BigFloat,
     frac,
@@ -74,7 +75,8 @@ def test_hurwitz_closed_forms_at_special_points():
 @pytest.mark.parametrize("s", [Fraction(1, 2), 2, 3, Fraction(-1, 2), Fraction(5, 2)])
 @pytest.mark.parametrize("a", [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1])
 def test_hurwitz_against_mpmath(s, a):
-    # against mpmath at 50 working digits
+    # against mpmath.zeta at 50 working digits, an algorithm independent of
+    # the Euler-Maclaurin pass production uses
     got = hurwitz_zeta(s, a, 30)
     with mp.workdps(50):
         want = mp.zeta(mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else s,
@@ -104,13 +106,63 @@ def _eps_corpus():
 
 
 def test_eps_covers_error_over_corpus():
-    # For s < 0, mpmath evaluates a rational a = (p, q) by the reflection
-    # formula, independently of the real-a Euler-Maclaurin path production uses.
+    # mpmath.zeta is independent of the production pass: for s < 0 it
+    # evaluates a rational a = (p, q) by the reflection formula, for s > 0 by
+    # its own Euler-Maclaurin code with its own precision retries.
     for s, a, digits in _eps_corpus():
         got = hurwitz_zeta(s, a, digits)
         with mp.workdps(2 * digits + 20):
             ref = mp.zeta(mp.mpf(s.numerator) / s.denominator, (a.numerator, a.denominator))
             assert abs(got.value - ref) <= got.eps, (s, a, digits)
+
+
+def _shift_corpus():
+    """(s, a, J, step, digits): the _eps_corpus points where an earlier
+    Euler-Maclaurin kernel under-reported its error, then a seeded sample
+    of a = 5/2 (the Taylor centre) and of a in (0, 2], non-integer s in
+    [-25, 25] with every shift at least 1/8 from the pole, 15-60 digits."""
+    cases = [(s, a, 3, 2, digits) for s, a, digits in _eps_corpus()[:4]]
+    rng = random.Random(2016)
+    while len(cases) < 28:
+        q = rng.randint(2, 8)
+        s = Fraction(rng.randint(-25 * q, 25 * q), q)
+        J, step = rng.randint(1, 6), rng.choice((1, 2))
+        if s.denominator == 1 or any(abs(s + step * i - 1) < Fraction(1, 8) for i in range(J)):
+            continue
+        d = rng.randint(1, 12)
+        a = Fraction(5, 2) if len(cases) % 2 else Fraction(rng.randint(1, 2 * d), d)
+        cases.append((s, a, J, step, rng.choice((15, 20, 30, 40, 60))))
+    return cases
+
+
+def test_em_shifts_eps_covers_error_against_rational_route():
+    # every shift of one pass against mpmath's rational-a route at
+    # 2 digits + 20: the reflection formula for s < 0, mpmath's own
+    # Euler-Maclaurin code for s > 0
+    for s, a, J, step, digits in _shift_corpus():
+        got = numkernel._em_shifts(s, a, J, digits, step)
+        assert len(got) == J
+        for i, z in enumerate(got):
+            sigma = s + step * i
+            with mp.workdps(2 * digits + 20):
+                ref = mp.zeta(_mpf(sigma), (a.numerator, a.denominator))
+                assert abs(z.value - ref) <= z.eps, (s, a, J, step, digits, i)
+                # and eps is an error estimate, not a blanket 10^-digits
+                assert z.eps <= mp.mpf(10) ** -(digits + 12) * max(1, abs(ref)), (s, a, digits, i)
+
+
+def _bernoulli_recurrence(m):
+    """B_0, ..., B_m from sum_{k<=n} C(n+1, k) B_k = 0: O(m^2) Fractions."""
+    b = [Fraction(1)]
+    for n in range(1, m + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return tuple(b)
+
+
+def test_bernoulli_numbers_match_recurrence():
+    oracle = _bernoulli_recurrence(120)
+    for m in (0, 1, 2, 3, 4, 17, 64, 119, 120):
+        assert numkernel._bernoulli_numbers(m) == oracle[: m + 1], m
 
 
 def test_hurwitz_guards():
@@ -182,6 +234,21 @@ def _count_hurwitz_calls(monkeypatch):
     return calls
 
 
+def _count_centre_passes(monkeypatch):
+    """Record the Euler-Maclaurin passes at the Taylor centre 5/2 as the
+    list of zeta(s', 5/2) values each evaluates."""
+    passes = []
+    real = numkernel._em_shifts
+
+    def counted(s, a, J, precision, step=1):
+        if a == Fraction(5, 2):
+            passes.append([s + step * i for i in range(J)])
+        return real(s, a, J, precision, step)
+
+    monkeypatch.setattr("seifinv.numkernel._em_shifts", counted)
+    return passes
+
+
 def _mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
@@ -198,8 +265,9 @@ def test_hurwitz_sum_moments_against_per_key_reference(monkeypatch):
             terms[s, rng.choice((1, 3, 7)), a] += Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         terms[-2, 5, Fraction(1, 3)] += Fraction(3, 4)
         calls = _count_hurwitz_calls(monkeypatch)
+        passes = _count_centre_passes(monkeypatch)
         got = hurwitz_sum(terms, digits)
-        assert (s + 2, Fraction(5, 2)) in calls  # an even order, past zeta(s, 5/2)
+        assert any(s + 2 in centre for centre in passes)  # an even order, past zeta(s, 5/2)
         assert len(calls) == len(set(calls)) < len({a for (_, _, a), w in terms.items() if w})
         # the reference: each distinct zeta(s', a) by mpmath at 2 digits + 20
         with mp.workdps(2 * digits + 20):
