@@ -647,7 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", type=int)
     p.add_argument("--x", default="0", help="rational shift, p/q")
     p.add_argument("--y", default="0", help="rational shift, p/q")
-    p.add_argument("--method", choices=["fast", "direct", "both"], default="both")
+    p.add_argument(
+        "--method",
+        choices=["fast", "direct", "both"],
+        default="fast",
+        help="fast: O(log alpha) (default); direct: the O(alpha) defining sum; both: compare",
+    )
     p.set_defaults(func=_cmd_dedekind)
 
     p = sub.add_parser("eta", help="eta invariants of a Seifert fibration")

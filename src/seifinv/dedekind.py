@@ -10,7 +10,9 @@ for coprime integers (beta, alpha), alpha > 0, and rational shifts x, y;
 Three evaluation routes are provided:
 
   * ``dr_sum_direct`` -- the defining sum, term by term.  This is the
-    module's brute-force oracle.
+    module's brute-force oracle.  Its terms run in one C-level pass (the
+    builtins ``sum``, ``map`` and ``range`` over ``operator.mod`` and
+    ``operator.mul``): O(alpha) time, O(1) memory.
   * ``reciprocity_R`` -- the right hand side of the two-case reciprocity
     law:
 
@@ -31,13 +33,19 @@ formulas: the Dedekind reductions S and d of the singular fibers' corner
 sums, and the holonomy-twisted variants S_rho and F_rho.  These run on
 ``dr_sum_fast`` only: one production route, O(log alpha) per fiber.  The
 O(alpha) forms (``dr_sum_direct`` and the corner sums ``corner_sum``) are
-oracles, run by ``seifinv verify`` and the tests.
+oracles, run by ``seifinv verify``, ``seifinv dedekind --method direct``
+or ``both``, and the tests.  Each stays the defining sum, term by term,
+with no use of reciprocity: the terms run in one C-level pass in O(1)
+memory, and only the parts that a period sums in closed form (a
+permutation of the residues, an arithmetic progression) leave the pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import mod, mul
 from typing import Sequence
 
 from seifinv.numkernel import Rational, frac, psi2, sawtooth, sawtooth_pq
@@ -50,30 +58,60 @@ def _validate(beta: int, alpha: int) -> None:
         raise ValueError(f"beta and alpha must be coprime, got ({beta}, {alpha})")
 
 
+def _residue_moment(c: int, step: int, alpha: int) -> int:
+    """sum_{r=0}^{alpha-1} ((c + step r) mod alpha) r, for step coprime to alpha.
+
+    One pass in C: the two ranges, the mods, the products and the sum run
+    in the interpreter's builtins, term by term, and nothing of length
+    alpha is built.
+    """
+    if alpha == 1:
+        return 0
+    c, step = c % alpha, step % alpha
+    return sum(map(mul, map(mod, range(c, c + step * alpha, step), repeat(alpha)), range(alpha)))
+
+
 def dr_sum_direct(beta: int, alpha: int, x: Rational = 0, y: Rational = 0) -> Fraction:
     """The defining sum, evaluated term by term over a full period.
 
-    Runs in O(alpha); serves as the independent oracle for dr_sum_fast.
+    Runs in O(alpha) time and O(1) memory, and serves as the independent
+    oracle for dr_sum_fast: no reciprocity, no Euclid descent.  The only
+    per-term work, the sum of m1 m2 below, is one C-level pass
+    (``_residue_moment``); the sums of m1 and m2 alone and the at most two
+    dropped terms are closed forms.
     """
     _validate(beta, alpha)
     x, y = Fraction(x), Fraction(y)
-    # ((x + beta(r+y)/alpha)) has denominator d1 = alpha*qx*qy (common form),
-    # (((r+y)/alpha)) has denominator d2 = alpha*qy; accumulate one integer
-    # numerator over the fixed denominator 4*d1*d2.
-    px, qx = x.numerator, x.denominator
-    py, qy = y.numerator, y.denominator
-    d1 = alpha * qx * qy
-    d2 = alpha * qy
-    total = 0
-    for r in range(1, alpha + 1):
-        n2 = r * qy + py
-        m2 = n2 % d2
-        if m2 == 0:
-            continue
-        m1 = (px * alpha * qy + beta * n2 * qx) % d1
-        if m1 == 0:
-            continue
-        total += (2 * m1 - d1) * (2 * m2 - d2)
+    # Term r is (2 m1 - d1)(2 m2 - d2) over the fixed denominator 4 d1 d2,
+    # with ((x + beta(r+y)/alpha)) = (2 m1 - d1)/(2 d1), d1 = alpha qx qy, and
+    # (((r+y)/alpha)) = (2 m2 - d2)/(2 d2), d2 = alpha qy; a term with
+    # m1 = 0 or m2 = 0 (an integral argument) is dropped.  With x, y
+    # reduced mod 1 and r taken mod alpha (r = alpha is r = 0):
+    #   m2 = r qy + py,
+    #   m1 = k0 + qx qy ((k1 + beta r) mod alpha),
+    # where (k1, k0) = divmod(px alpha qy + beta qx py, qx qy); as r runs
+    # over a period, m1 runs over k0 + qx qy t, t = 0..alpha-1, once each.
+    qx, qy = x.denominator, y.denominator
+    px, py = x.numerator % qx, y.numerator % qy
+    qxy = qx * qy
+    d1, d2 = alpha * qxy, alpha * qy
+    k1, k0 = divmod(px * alpha * qy + beta * qx * py, qxy)
+    tri = alpha * (alpha - 1) // 2
+    sum_m1 = alpha * k0 + qxy * tri
+    sum_m2 = qy * tri + alpha * py
+    sum_m1m2 = k0 * sum_m2 + qxy * (qy * _residue_moment(k1, beta, alpha) + py * tri)
+    total = 4 * sum_m1m2 - 2 * d2 * sum_m1 - 2 * d1 * sum_m2 + alpha * d1 * d2
+
+    def term(r: int) -> int:
+        m1 = k0 + qxy * ((k1 + beta * r) % alpha)
+        return (2 * m1 - d1) * (2 * (r * qy + py) - d2)
+
+    dropped = set()
+    if k0 == 0:
+        dropped.add(-k1 * _inverse_mod(beta, alpha) % alpha)  # m1 = 0
+    if py == 0:
+        dropped.add(0)  # m2 = 0: y integral, r = alpha
+    total -= sum(map(term, dropped))
     return Fraction(total, 4 * d1 * d2)
 
 
@@ -126,7 +164,8 @@ def _inverse_mod(beta: int, alpha: int) -> int:
 
 
 def corner_sum(alpha: int, beta: int, gamma: int, sign: int = 1) -> Fraction:
-    """Singular-fiber corner sum, evaluated term by term in O(alpha):
+    """Singular-fiber corner sum, evaluated term by term in one C-level
+    pass, O(alpha) time and O(1) memory:
 
         S^sign = sum_{r=1}^{alpha} {(gamma + sign r beta)/alpha} ((r/alpha)).
 
@@ -141,14 +180,13 @@ def corner_sum(alpha: int, beta: int, gamma: int, sign: int = 1) -> Fraction:
         raise ValueError("sign must be +1 or -1")
     _validate(beta, alpha)
     gamma %= alpha
-    # {.} = m1/alpha, ((r/alpha)) = (2 m2 - alpha)/(2 alpha); accumulate the
-    # integer numerator over the fixed denominator 2 alpha^2.
-    acc = 0
-    for r in range(1, alpha + 1):
-        m2 = r % alpha
-        if m2 == 0:
-            continue
-        acc += ((gamma + sign * r * beta) % alpha) * (2 * m2 - alpha)
+    # {.} = t_r/alpha with t_r = (gamma + sign r beta) mod alpha, and
+    # ((r/alpha)) = (2r - alpha)/(2 alpha) for 0 < r < alpha, 0 at r = alpha:
+    # the integer numerator over 2 alpha^2 is sum_{r<alpha} t_r (2r - alpha).
+    # t_r runs over every residue once and t_0 = gamma, so the sum of t_r
+    # over 0 < r < alpha is closed and only the sum of t_r r is a pass.
+    sum_t = alpha * (alpha - 1) // 2 - gamma
+    acc = 2 * _residue_moment(gamma, sign * beta, alpha) - alpha * sum_t
     return Fraction(acc, 2 * alpha * alpha)
 
 

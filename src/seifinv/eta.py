@@ -187,8 +187,8 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
         head - sum_i sum_{k=0}^{alpha_i-1} {(gamma_i - k beta_i)/alpha_i}
                                            (1 - 2 {(k + rho)/alpha_i}),
 
-    by integer accumulation in O(sum alpha_i); for rho = 0 the
-    corner-sum oracle."""
+    term by term in one C-level pass per fiber, O(sum alpha_i) time and
+    O(1) memory; for rho = 0 the corner-sum oracle."""
     _require_canonical_flat(ctx)
     if ctx.rho == 0:
         return eta_zero_pullback_direct(ctx)
@@ -197,13 +197,10 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
     total = _flat_head(ctx)
     for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
         d = qr * a
-        acc = 0
-        for k in range(a):
-            m1 = (g - k * b) % a
-            if m1 == 0:
-                continue
-            m2 = (k * qr + pr) % d
-            acc += m1 * (d - 2 * m2)
+        # {(gamma - k beta)/alpha} = m1/alpha with m1 = (gamma - k beta) mod
+        # alpha, and {(k + rho)/alpha} = m2/d with m2 = k qr + pr < d, no mod.
+        # m1 runs over every residue once, so only the sum of m1 k is a pass.
+        acc = (d - 2 * pr) * (a * (a - 1) // 2) - 2 * qr * dedekind._residue_moment(g, -b, a)
         total -= Fraction(acc, a * d)
     return total
 

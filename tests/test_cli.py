@@ -50,6 +50,23 @@ def test_dedekind_command(capsys):
     assert out.strip() == "-3/28"
 
 
+def test_dedekind_default_never_runs_the_oracle(capsys, monkeypatch):
+    # the O(alpha) defining sum runs only under --method direct or both
+    def refuse(*args):
+        raise AssertionError("dr_sum_direct called")
+
+    monkeypatch.setattr(dedekind, "dr_sum_direct", refuse)
+    assert run(capsys, "dedekind", "4", "7", "--x", "2/7") == (0, "-3/28\n")
+    assert run(capsys, "dedekind", "1", "1000000007") == (0, "166666668500000005/2000000014\n")
+
+
+def test_dedekind_both_reports_mismatch(capsys, monkeypatch):
+    direct = dedekind.dr_sum_direct
+    monkeypatch.setattr(dedekind, "dr_sum_direct", lambda *args: direct(*args) + Fraction(1, 7))
+    code, out = run(capsys, "dedekind", "4", "7", "--x", "2/7", "--method", "both")
+    assert (code, out) == (1, "MISMATCH fast=-3/28 direct=1/28\n")
+
+
 def test_dedekind_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dedekind", "2", "4"])

@@ -1,6 +1,7 @@
 """Dedekind-Rademacher sums: oracle equivalences and the reciprocity law."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,119 @@ from seifinv.dedekind import (
     reciprocity_R,
 )
 from seifinv.numkernel import sawtooth
+
+
+def _naive_dr_sum_direct(beta, alpha, x=0, y=0):
+    # the per-term loop that dr_sum_direct ran before its one-pass form
+    x, y = Fraction(x), Fraction(y)
+    px, qx = x.numerator, x.denominator
+    py, qy = y.numerator, y.denominator
+    d1 = alpha * qx * qy
+    d2 = alpha * qy
+    total = 0
+    for r in range(1, alpha + 1):
+        n2 = r * qy + py
+        m2 = n2 % d2
+        if m2 == 0:
+            continue
+        m1 = (px * alpha * qy + beta * n2 * qx) % d1
+        if m1 == 0:
+            continue
+        total += (2 * m1 - d1) * (2 * m2 - d2)
+    return Fraction(total, 4 * d1 * d2)
+
+
+def _naive_corner_sum(alpha, beta, gamma, sign=1):
+    # the per-term loop that corner_sum ran before its one-pass form
+    gamma %= alpha
+    acc = 0
+    for r in range(1, alpha + 1):
+        m2 = r % alpha
+        if m2 == 0:
+            continue
+        acc += ((gamma + sign * r * beta) % alpha) * (2 * m2 - alpha)
+    return Fraction(acc, 2 * alpha * alpha)
+
+
+def _oracle_corpus():
+    """Seeded (beta, alpha, x, y): alpha = 1 with beta = 0, beta of both
+    signs and beyond +-alpha, shifts integral and not, inside and outside
+    [0, 1), and x = k/d with d | alpha, which puts an r with m1 = 0 in
+    the period also when y is not integral."""
+    rng = random.Random(53)
+    cases = [(0, 1, 0, 0), (0, 1, Fraction(1, 3), Fraction(-5, 2)), (1, 1, 2, -3)]
+    for _ in range(1500):
+        alpha = rng.randint(1, 120)
+        beta = rng.choice([b for b in range(-2 * alpha - 1, 2 * alpha + 2) if gcd(b, alpha) == 1])
+        shifts = []
+        for _ in range(2):
+            kind = rng.randrange(3)
+            if kind == 0:
+                shifts.append(Fraction(rng.randint(-3, 3)))
+            elif kind == 1:
+                d = rng.randint(2, 12)
+                shifts.append(Fraction(rng.randint(-3 * d, 3 * d), d))
+            else:
+                d = rng.choice([d for d in range(1, alpha + 1) if alpha % d == 0])
+                shifts.append(Fraction(rng.randint(-2 * d, 2 * d), d))
+        cases.append((beta, alpha, *shifts))
+    return cases
+
+
+def _m1_vanishes(beta, alpha, x, y):
+    # some r in the period puts x + beta (r + y)/alpha on an integer
+    args = (x + Fraction(beta * (r + y), alpha) for r in range(1, alpha + 1))
+    return any(arg.denominator == 1 for arg in args)
+
+
+def test_dr_sum_direct_against_per_term_loop():
+    kinds = ["beta<0", "m1=0", "m1=0, y not integral", "y integral", "x outside [0,1)"]
+    seen = dict.fromkeys(kinds, 0)
+    for beta, alpha, x, y in _oracle_corpus():
+        assert dr_sum_direct(beta, alpha, x, y) == _naive_dr_sum_direct(beta, alpha, x, y), (
+            beta, alpha, x, y,
+        )
+        seen["beta<0"] += beta < 0
+        m1_vanishes = _m1_vanishes(beta, alpha, x, y)
+        seen["m1=0"] += m1_vanishes
+        y_integral = Fraction(y).denominator == 1
+        seen["m1=0, y not integral"] += m1_vanishes and not y_integral
+        seen["y integral"] += y_integral
+        seen["x outside [0,1)"] += not 0 <= x < 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_corner_sum_against_per_term_loop():
+    rng = random.Random(59)
+    cases = [(1, 0, 0), (1, -3, 2), (2, 1, -1)]
+    for _ in range(800):
+        alpha = rng.randint(1, 120)
+        beta = rng.choice([b for b in range(-2 * alpha - 1, 2 * alpha + 2) if gcd(b, alpha) == 1])
+        cases.append((alpha, beta, rng.randint(-2 * alpha, 2 * alpha)))
+    for alpha, beta, gamma in cases:
+        for sign in (1, -1):
+            want = _naive_corner_sum(alpha, beta, gamma, sign)
+            assert corner_sum(alpha, beta, gamma, sign) == want, (alpha, beta, gamma, sign)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracles_run_in_constant_memory():
+    # one pass over alpha = 100003 terms; a list of them would take MBs
+    alpha, beta, gamma = 100003, 41789, 5021
+    peaks = [
+        _peak_bytes(dr_sum_direct, beta, alpha),
+        _peak_bytes(corner_sum, alpha, beta, gamma, 1),
+        _peak_bytes(corner_sum, alpha, beta, gamma, -1),
+    ]
+    assert max(peaks) < 64 * 1024, peaks
 
 
 def test_worked_example_both_routes():

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
@@ -12,6 +13,7 @@ from mpmath import mp
 from seifinv.dedekind import S_composite
 from seifinv.eta import (
     EtaContext,
+    _flat_head,
     eta_dirac_levicivita,
     eta_series,
     eta_signature,
@@ -126,6 +128,52 @@ def test_dual_route_cross_validation_random():
         assert eta_zero_pullback(ctx) == eta_zero_pullback_direct(ctx), (N, L)
         flat = flat_context(N, L)
         assert eta_zero_flat(flat) == eta_zero_flat_direct(flat), (N, L)
+
+
+def _naive_eta_zero_flat_direct(ctx):
+    # the per-term loop that eta_zero_flat_direct ran before its one-pass
+    # form, for rho in (0, 1)
+    N = ctx.fibration
+    pr, qr = ctx.rho.numerator, ctx.rho.denominator
+    total = _flat_head(ctx)
+    for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
+        d = qr * a
+        acc = 0
+        for k in range(a):
+            m1 = (g - k * b) % a
+            if m1 == 0:
+                continue
+            m2 = (k * qr + pr) % d
+            acc += m1 * (d - 2 * m2)
+        total -= Fraction(acc, a * d)
+    return total
+
+
+def test_flat_direct_against_per_term_loop():
+    rng = random.Random(61)
+    rhos = set()
+    for _ in range(300):
+        N = _random_seifert(rng)
+        L = VLineBundle(N.base, rng.randint(-3, 3), tuple(rng.randrange(a) for a in N.alphas))
+        flat = flat_context(N, L)
+        if flat.rho:
+            rhos.add(flat.rho)
+            assert eta_zero_flat_direct(flat) == _naive_eta_zero_flat_direct(flat), (N, L)
+    assert len(rhos) >= 10, rhos
+
+
+def test_flat_direct_runs_in_constant_memory():
+    # one pass per fiber; Sigma(2,3,100003) has rho = 1/2 and a fiber of
+    # order 100003, whose terms as a list would take MBs
+    ctx = trivial_flat_context(brieskorn(2, 3, 100003))
+    assert ctx.rho == Fraction(1, 2)
+    tracemalloc.start()
+    try:
+        eta_zero_flat_direct(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_froyshov_F_at_large_alpha():
