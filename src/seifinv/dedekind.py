@@ -101,17 +101,12 @@ def dr_sum_direct(beta: int, alpha: int, x: Rational = 0, y: Rational = 0) -> Fr
     sum_m2 = qy * tri + alpha * py
     sum_m1m2 = k0 * sum_m2 + qxy * (qy * _residue_moment(k1, beta, alpha) + py * tri)
     total = 4 * sum_m1m2 - 2 * d2 * sum_m1 - 2 * d1 * sum_m2 + alpha * d1 * d2
-
-    def term(r: int) -> int:
-        m1 = k0 + qxy * ((k1 + beta * r) % alpha)
-        return (2 * m1 - d1) * (2 * (r * qy + py) - d2)
-
-    dropped = set()
-    if k0 == 0:
-        dropped.add(-k1 * _inverse_mod(beta, alpha) % alpha)  # m1 = 0
+    dropped = {-k1 * _inverse_mod(beta, alpha) % alpha} if k0 == 0 else set()  # m1 = 0
     if py == 0:
         dropped.add(0)  # m2 = 0: y integral, r = alpha
-    total -= sum(map(term, dropped))
+    for r in dropped:
+        m1 = k0 + qxy * ((k1 + beta * r) % alpha)
+        total -= (2 * m1 - d1) * (2 * (r * qy + py) - d2)
     return Fraction(total, 4 * d1 * d2)
 
 
