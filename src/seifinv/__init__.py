@@ -15,8 +15,9 @@ a Seifert fibration and in particular to Brieskorn homology spheres:
     vector invariant Theta of negative definite unimodular lattices.
 
 Everything exact uses fractions.Fraction; numerical zeta-function series
-are evaluated by seifinv.numkernel at an explicit decimal precision, and
-its arbitrary-precision library is loaded on the first numeric call only.
+are evaluated by seifinv.numkernel in integer fixed point at an explicit
+decimal precision, with no floating-point library: mpmath serves the
+tests and ``seifinv verify`` as an oracle only.
 """
 
 from seifinv.numkernel import InvariantError, frac, sawtooth, psi2, hurwitz_zeta, riemann_zeta

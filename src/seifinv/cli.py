@@ -35,7 +35,7 @@ from seifinv import dedekind as ded
 from seifinv import eta as eta_mod
 from seifinv import lattice as lat
 from seifinv import swfloer as swf
-from seifinv.numkernel import MP_LOCK, InvariantError
+from seifinv.numkernel import InvariantError
 from seifinv.orbifold import Orbifold, VLineBundle, trivial_bundle
 from seifinv.seifert import SeifertData, brieskorn, is_homology_sphere
 
@@ -457,7 +457,7 @@ def _series_matches_per_key_sum(ctx: eta_mod.EtaContext, s: Fraction, digits: in
     from mpmath import mp
 
     got = eta_mod.eta_series(ctx, s, digits)
-    with MP_LOCK, mp.workdps(digits + 25):
+    with mp.workdps(digits + 25):
         ref = size = mp.mpf(0)
         for (s1, p, a), w in eta_mod.series_terms(ctx, s).items():
             if w:

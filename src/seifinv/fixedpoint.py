@@ -1,0 +1,409 @@
+"""Integer fixed-point primitives of the numeric layer: powers, decimal
+printing and correct rounding, on Python integers alone.
+
+    power(n, d, s, F)        (n/d)^(-s) in units of 2^-F, with a count of
+                             units that bounds its error
+    to_str(man, exp, dps)    man 2^exp printed as mpmath's to_str (and so
+                             mp.nstr) prints it, at any magnitude
+    round_rational(n, d, p)  n/d rounded to nearest at p bits, ties to even
+    DyadicSum                an exact sum of dyadics man 2^exp and the
+                             bound on its error
+
+For s = sn/sd with sd <= ROOT_MAX_DENOMINATOR, power is the exact integer
+sd-th root of the rational power,
+
+    floor((d^sn 2^(F sd) / n^sn)^(1/sd))      (math.isqrt for sd = 2, 4,
+                                               integer Newton otherwise),
+
+within 1 unit.  Its cost grows with sd; at 1000 and 3400 bits it stops
+being faster than the other route past sd = 8.  Any other s (such as 0.37
+or 1 + 10^-29) goes through fixed-point log and exp with argument
+reduction (after Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+ch. 4): ln(n/d) = m ln 2 + ln(j/32) + 2 atanh(z), |z| <= 1/83, the
+ln(j/32) cached; -s ln(n/d) = k ln 2 + r with 0 <= r < ln 2; exp(r) from
+its Taylor series at r / 2^m', summed by rectangular splitting and
+squared back m' times.  Every floor of that route is counted, and the
+working precision carries the log2 of the count as guard bits, so the
+result is within 2 or 3 units.  The counts are not a proof (ROADMAP
+item 6).
+
+numkernel imports this module on its first numeric call, so the commands
+that need only the exact layers do not load it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import ceil, isqrt, log, log2
+from typing import Tuple
+
+
+def floor_shift(num: int, den: int, shift: int) -> int:
+    """floor(num 2^shift / den) for den > 0."""
+    return (num << shift) // den if shift >= 0 else num // (den << -shift)
+
+
+def ceil_shift(num: int, den: int, shift: int) -> int:
+    """ceil(num 2^shift / den) for den > 0."""
+    return -floor_shift(-num, den, shift)
+
+
+class DyadicSum:
+    """An exact dyadic sum man 2^exp and the bound err 2^exp on its error."""
+
+    __slots__ = ("man", "err", "exp")
+
+    def __init__(self):
+        self.man = self.err = self.exp = 0
+
+    def add(self, man: int, err: int, exp: int) -> None:
+        """Add man 2^exp, known within err 2^exp."""
+        if exp < self.exp:
+            shift = self.exp - exp
+            self.man, self.err, self.exp = self.man << shift, self.err << shift, exp
+        else:
+            man, err = man << (exp - self.exp), err << (exp - self.exp)
+        self.man += man
+        self.err += err
+
+    def add_rational(self, x: Fraction) -> None:
+        """Add x, floored to the finest unit added so far."""
+        if x:
+            self.add(floor_shift(x.numerator, x.denominator, -self.exp), 1, self.exp)
+
+
+def round_rational(num: int, den: int, prec: int) -> Tuple[int, int]:
+    """num/den (den > 0) rounded to nearest at prec bits, ties to even,
+    as (man, exp): what mpmath's round_nearest gives for one exact
+    operation."""
+    if not num:
+        return 0, 0
+    a = abs(num)
+    e = a.bit_length() - den.bit_length() - prec
+    n, d = (a, den << e) if e >= 0 else (a << -e, den)
+    if n >= d << prec:
+        d, e = d << 1, e + 1
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return (q if num > 0 else -q), e
+
+
+def dps_to_prec(dps: int) -> int:
+    """Bits for dps decimal digits, as mpmath's workdps sets them."""
+    return max(1, int(round((dps + 1) * 3.3219280948873626)))
+
+
+#: log2(10) as mpmath's decimal conversion computes it
+_MP_LOG2_10 = log(10, 2)
+
+
+def _numeral(n: int, size: int) -> str:
+    """The decimal digits of n >= 0 as mpmath's numeral writes them for
+    about size digits: str below 250, else the two halves of a division by
+    a power of ten (which also keeps clear of Python's limit on str)."""
+    if size < 250:
+        return str(n)
+    half = size // 2 + (size & 1)
+    high, low = divmod(n, 10**half)
+    return _numeral(high, half) + _numeral(low, half).rjust(half, "0")
+
+
+def _truncate(num: int, den: int, prec: int, up: bool = False) -> Tuple[int, int]:
+    """num/den > 0 rounded toward zero (or away from it, up) to prec bits,
+    as (man, exp): mpmath's directed rounding of one exact operation."""
+    e = num.bit_length() - den.bit_length() - prec - 1
+    q, r = divmod(num << -e, den) if e < 0 else divmod(num, den << e)
+    sh = q.bit_length() - prec
+    if sh > 0:
+        q, r = q >> sh, r or q & ((1 << sh) - 1)
+        e += sh
+    return (q + 1 if up and r else q), e
+
+
+def _log_truncated(ln, prec: int) -> Tuple[int, int]:
+    """(man, exp): the constant that the fixed-point routine ln gives as
+    (c 2^W within e units), truncated to prec bits, at the first W past
+    prec + 32 where the error leaves no doubt about the truncation."""
+    W = prec + 32
+    while True:
+        v, e = ln(W)
+        top = (v + e).bit_length()
+        lo, hi = (v - e) >> (top - prec), (v + e) >> (top - prec)
+        if lo == hi and (v - e).bit_length() == top:
+            return lo, top - prec - W
+        W += 32
+
+
+def _cut(man: int, exp: int, prec: int, up: bool) -> Tuple[int, int]:
+    """man 2^exp (man > 0) cut to prec bits, toward zero or (up) away
+    from it."""
+    sh = man.bit_length() - prec
+    if sh <= 0:
+        return man, exp
+    return (-(-man >> sh) if up else man >> sh), exp + sh
+
+
+def _pow10(n: int, prec: int, up: bool = False) -> Tuple[int, int]:
+    """10^n as mpmath's mpf_pow_int computes it at prec bits, rounded
+    toward zero (or away from it, up), as (man, exp): exact below 10^334,
+    then binary powering at prec + 4 log2 n + 4 bits with every product
+    rounded in the same direction; 10^-n as the reciprocal of 10^n rounded
+    the other way at 5 more bits."""
+    if n < 0:
+        man, exp = _pow10(-n, prec + 5, not up)
+        return _truncate(1 << max(-exp, 0), man << max(exp, 0), prec, up)
+    if n < 334:
+        return _cut(5**n, n, prec, up)
+    workprec = prec + 4 * n.bit_length() + 4
+    pm, pe, man, exp = 1, 0, 5, 1
+    while True:
+        if n & 1:
+            pm, pe = _cut(pm * man, pe + exp, workprec, up)
+            n -= 1
+            if not n:
+                break
+        man, exp = _cut(man * man, exp + exp, workprec, up)
+        n //= 2
+    return _cut(pm, pe, prec, up)
+
+
+def to_str(man: int, exp: int, dps: int) -> str:
+    """man 2^exp with dps >= 1 significant digits, as mpmath's to_str (and
+    so mp.nstr) prints it: the digits are the value truncated to a binary
+    and then a decimal fixed point with dps + 3 digits, rounded half up on
+    the first dropped digit; fixed notation for a leading digit at 10^e
+    with min(-(dps//3), -5) < e < dps, trailing zeros stripped.  A value
+    beyond 2^+-3500 is first divided by 10^b, b = exp log10(2) as mpmath
+    rounds it, with mpmath's roundings of ln 2, ln 10, 10^b and the
+    quotient."""
+    if not man:
+        return "0.0"
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    zeros = (man & -man).bit_length() - 1
+    man, exp = man >> zeros, exp + zeros
+    bc = man.bit_length()
+    bitprec = int((dps + 3) * _MP_LOG2_10) + 10
+    exponent = 0
+    if abs(exp + bc) > 3500:
+        expprec = abs(exp).bit_length() + 5
+        l2, e2 = _log_truncated(_ln2, expprec)
+        l10, e10 = _log_truncated(lambda W: _ln_fixed(10, 1, W), expprec)
+        if exp:
+            num, den = abs(exp) * l2 << max(e2 - e10, 0), l10 << max(e10 - e2, 0)
+            q, e = _truncate(num, den, expprec)
+            exponent = (q << e if e >= 0 else q >> -e) * (1 if exp > 0 else -1)
+        pm, pe = _pow10(exponent, bitprec)
+        man, shift = _truncate(man << max(exp - pe, 0), pm << max(pe - exp, 0), bitprec)
+        exp, bc = shift, man.bit_length()
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _MP_LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = _numeral((fixed * 10**fixdps) >> fixprec, dps + 3)
+    exponent += len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = digits[:dps]
+        i = dps - 1
+        while i >= 0 and digits[i] == "9":
+            i -= 1
+        if i >= 0:
+            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+        else:
+            digits = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+            digits += "0" * (split - dps)
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+#: Denominators of s up to which power takes the exact integer root.
+ROOT_MAX_DENOMINATOR = 8
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0: math.isqrt for k = 2 and 4, else
+    integer Newton from above, seeded by the root of the leading bits."""
+    if k == 1 or x < 2:
+        return x
+    if k == 2:
+        return isqrt(x)
+    if k == 4:
+        return isqrt(isqrt(x))
+    b = x.bit_length()
+    if b <= 64:
+        y = int(x ** (1.0 / k)) + 2
+    else:
+        e = b // (2 * k)
+        # x < (x >> ke + 1) 2^ke, so this start lies above the root
+        y = (_iroot(x >> (k * e), k) + 1) << e
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
+
+
+def _power_root(n: int, d: int, sn: int, sd: int, F: int) -> int:
+    """floor((n/d)^(-sn/sd) 2^F): the integer sd-th root of the exact
+    rational power, shifted by F sd bits."""
+    k = -sn
+    num, den = (n**k, d**k) if k >= 0 else (d**-k, n**-k)
+    return _iroot((num << (F * sd)) // den, sd)
+
+
+def _atanh_fixed(u: int, v: int, W: int) -> Tuple[int, int]:
+    """(t, e): atanh(u/v) 2^W within e units, 0 <= u/v <= 1/3, from the
+    series sum (u/v)^(2i+1) / (2i+1).  Each term costs at most 3 units
+    (its floor, the floor of its division, the carried error times u/v);
+    the tail past the last nonzero term at most 2."""
+    x = (u << W) // v
+    u2, v2 = u * u, v * v
+    t, i, e = 0, 1, 2
+    while x:
+        t += x // i
+        x = x * u2 // v2
+        i += 2
+        e += 3
+    return t, e
+
+
+#: ln(n/d) is reduced by c = j / 2^_LN_TABLE_BITS, the nearest such step
+_LN_TABLE_BITS = 5
+
+
+@lru_cache(maxsize=128)
+def _ln_step_at(j: int, W: int) -> Tuple[int, int]:
+    # 2 atanh((j - 32)/(j + 32)), |j - 32| / (j + 32) <= 1/3 for 16 <= j <= 64
+    one = 1 << _LN_TABLE_BITS
+    t, e = _atanh_fixed(abs(j - one), j + one, W)
+    return (2 * t if j >= one else -2 * t), 2 * e
+
+
+def _ln_step(j: int, W: int) -> Tuple[int, int]:
+    """(l, e): ln(j / 2^_LN_TABLE_BITS) 2^W within e units, cached at a
+    multiple of 128 bits."""
+    Wc = -(-W // 128) * 128
+    l, e = _ln_step_at(j, Wc)
+    return l >> (Wc - W), (e >> (Wc - W)) + 1
+
+
+def _ln2(W: int) -> Tuple[int, int]:
+    """(l, e): ln 2 2^W within e units, cached as the step j = 64."""
+    return _ln_step(2 << _LN_TABLE_BITS, W)
+
+
+def _ln_fixed(n: int, d: int, W: int) -> Tuple[int, int]:
+    """(L, e): ln(n/d) 2^W within e units: n/d = 2^m c y with
+    2/3 <= c y < 4/3, c = j/32 the nearest step (its log cached) and
+    |y - 1| <= 1/42, so ln y = 2 atanh((y - 1)/(y + 1)) gains 12.7 bits a
+    term."""
+    m = n.bit_length() - d.bit_length()
+    num, den = (n, d << m) if m >= 0 else (n << -m, d)
+    if 3 * num < 2 * den:
+        num, m = num << 1, m - 1
+    elif 3 * num >= 4 * den:
+        den, m = den << 1, m + 1
+    j = ((num << (_LN_TABLE_BITS + 1)) + den) // (2 * den)
+    num, den = num << _LN_TABLE_BITS, den * j
+    u = num - den
+    t, e = _atanh_fixed(abs(u), num + den, W)
+    l2, e2 = _ln2(W)
+    lc, ec = _ln_step(j, W) if j != 1 << _LN_TABLE_BITS else (0, 0)
+    return (2 * t if u >= 0 else -2 * t) + lc + m * l2, 2 * e + ec + abs(m) * e2
+
+
+def _exp_fixed(r: int, W: int) -> Tuple[int, int]:
+    """(E, e): exp(r 2^-W) 2^W within e units, for 0 <= r < 2^W.
+
+    The argument x is r 2^-W halved m ~ W^(1/3) times.  Its Taylor series
+    is summed at W2 bits by rectangular splitting: with the powers x^i,
+    i <= u ~ sqrt(terms), it is sum_{i<u} x^i S_i, S_i = sum_j
+    x^(ju) / (ju + i)!, so each term costs one division by a small
+    integer and each block of u terms one full product.  The sum is then
+    squared back m times.  e counts every floor: x^i is within i - 1
+    units; a term within ea is within ceil(ea / t) + 1 after its division
+    by t and within ea + u after its product with x^u; the tail past the
+    first zero term is at most twice that term's bound; a squaring takes
+    an error d to (2E + d) d 2^-W2 plus 2 units."""
+    m = round(W ** (1 / 3))
+    W2 = W + m + 10 + W.bit_length()
+    x = r << (W2 - W - m)
+    one = 1 << W2
+    u = max(2, isqrt(W2 // (m + 4)))
+    powers = [one, x]
+    for _ in range(u - 1):
+        powers.append(powers[-1] * x >> W2)
+    xu = powers[u]
+    sums = [0] * u
+    a, ea, t, err = one, 0, 0, 0
+    while a:
+        for i in range(u):
+            sums[i] += a
+            err += ea
+            t += 1
+            a //= t
+            ea = -(-ea // t) + 1
+        a = a * xu >> W2
+        ea += u
+    E = sums[0]
+    err += 2 * ea + 1
+    for i in range(1, u):
+        E += sums[i] * powers[i] >> W2
+        err += (sums[i] * (i - 1) >> W2) + 2
+    for _ in range(m):
+        err = ((2 * E + err) * err >> W2) + 2
+        E = E * E >> W2
+    shift = W2 - W
+    return E >> shift, (err >> shift) + 2
+
+
+def power_exp(n: int, d: int, s: Fraction, F: int) -> Tuple[int, int]:
+    """(v, e): (n/d)^(-s) 2^F within e units, by fixed-point log and exp:
+    -s ln(n/d) = k ln 2 + r with 0 <= r < ln 2, and v = 2^(F + k) exp(r).
+
+    The working precision W is F + k plus the log2 of the error counts of
+    the log, the product by s and the reduction by k ln 2, so the result
+    is within 2 or 3 units."""
+    sn, sd = s.numerator, s.denominator
+    lx = log2(n) - log2(d)
+    est = ceil(-sn / sd * lx)  # >= k - 1
+    base = max(F + est, 0) + 64
+    W = base + (base * (abs(sn) // sd + abs(est) + 2) * (abs(ceil(lx)) + 2)).bit_length() + 8
+    L, eL = _ln_fixed(n, d, W)
+    t = -(sn * L) // sd
+    et = -(-abs(sn) * eL // sd) + 1
+    l2, e2 = _ln2(W)
+    k = t // l2
+    r = t - k * l2
+    E, eE = _exp_fixed(r, W)
+    # exp grows errors of r by at most exp(ln 2 + tiny) < 3
+    eE += 3 * (et + abs(k) * e2)
+    shift = F + k - W
+    if shift >= 0:
+        return E << shift, eE << shift
+    return E >> -shift, (eE >> -shift) + 2
+
+
+def power(n: int, d: int, s: Fraction, F: int) -> Tuple[int, int]:
+    """(v, e): (n/d)^(-s) 2^F within e units, for integers n, d > 0 and
+    F >= 0: the exact integer root (e = 1) for a small denominator of s,
+    fixed-point log and exp otherwise."""
+    if s.denominator <= ROOT_MAX_DENOMINATOR:
+        return _power_root(n, d, s.numerator, s.denominator, F), 1
+    return power_exp(n, d, s, F)

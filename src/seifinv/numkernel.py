@@ -7,8 +7,8 @@ Exact layer (fractions.Fraction throughout):
     psi2(x)  second Bernoulli polynomial evaluated on {x}:
              B2(z) = z^2 - z + 1/6
 
-Numeric layer (mpmath-backed BigFloat with an explicit decimal-digit
-precision and a carried absolute error estimate):
+Numeric layer (integer fixed point; a BigFloat is a dyadic value with an
+explicit decimal-digit precision and a carried absolute error estimate):
 
     hurwitz_zeta(s, a)    zeta(s, a) = sum_{n>=0} (n + a)^(-s), a > 0
                           rational, by one Euler-Maclaurin pass; exact at
@@ -18,12 +18,11 @@ precision and a carried absolute error estimate):
                           (s, p, a) -> exact weight w: the one kernel
                           every eta series is folded into
     BigFloat.within(x, tol)
-                          |value - x| <= tol for an exact x, compared at
-                          the value's working precision
+                          |value - x| <= tol for an exact x, exactly
 
-mpmath is imported inside these operations, on the first numeric call, not
-when the module loads: the exact layers, and every command that needs only
-them, never import it.
+Every operation runs on Python integers alone: no floating-point library
+is imported.  BigFloat.value and BigFloat.eps hand out mpmath numbers for
+oracle code that wants them, and import mpmath only when read.
 
 At an integer s = -n <= 0 both zeta operations are exact,
 
@@ -33,6 +32,14 @@ with B_m the Bernoulli polynomials (zeta(0, a) = 1/2 - a and
 zeta(-1, a) = -1/12 + a(1 - a)/2 are the cases the exact pipeline
 consumes).  hurwitz_sum adds the keys of such s as Fractions; when every
 key is of this kind it returns the exact sum, rounded once.
+
+Powers.  seifinv.fixedpoint.power(n, d, s, F) returns (n/d)^(-s) in
+units of 2^-F, with a count of units that bounds its error: the exact
+integer sd-th root of the rational power for s = sn/sd with sd <= 8
+(within 1 unit), fixed-point log and exp with argument reduction for any
+other s, such as 0.37 or 1 + 10^-29 (within 2 or 3 counted units).  That module
+is loaded on the first numeric call, so the exact commands never load
+it.
 
 Cost of hurwitz_sum.  Callers add the exact weights of equal keys first.
 For 0 < a <= 1 and h = a - 1/2, so that |h| / (5/2) <= 1/5,
@@ -50,13 +57,14 @@ the number of keys (with alpha, for an eta series).  The keys are paired by
 |h|: a signed pair w zeta(s, x) - w zeta(s, 1 - x), of which every eta
 series at s is made, has h and -h, so its even moments vanish exactly and
 their centre values are never evaluated.  The moments are exact integer
-power sums over a common denominator; only the powers a^(-s), (1 + a)^(-s)
-and p^(-s) are floating, two per key.  All the centre values of a group
-come from one Euler-Maclaurin pass (below).  One hurwitz_zeta call per
-distinct a is made instead for a group whose keys are at most 1/8 of the
-centre values it would need (such as the one or two s - 1 keys of an eta
-series), for keys with a > 1, and for s within 1/100 of an integer <= 1,
-where some s + j meets or grazes the pole.
+power sums over a common denominator, the coefficients (s)_j / j! exact
+rationals; the powers a^(-s), (1 + a)^(-s) (two per key) and p^(-s) are
+the fixed-point ones above.  All the centre values of a group come from
+one Euler-Maclaurin pass (below).  One hurwitz_zeta call per distinct a is
+made instead for a group whose keys are at most 1/8 of the centre values
+it would need (such as the one or two s - 1 keys of an eta series), for
+keys with a > 1, and for s within 1/100 of an integer <= 1, where some
+s + j meets or grazes the pole.
 
 Euler-Maclaurin pass.  Every non-exact Hurwitz value, the centre values
 and the per-key values alike, comes from _em_shifts, which returns
@@ -66,15 +74,12 @@ zeta(s + j, a) for a run of shifts j from one pass over a = p/q:
                  + sum_{m=1}^{M} B_2m / (2m)! (s)_(2m-1) X^(1-s-2m) + R,
 
 with X = N + a and (s)_n the rising factorial.  The N + 1 powers
-(k + a)^-s are the only mpmath operations: they are computed once, at a
-precision P = F + log2 of the largest power + 16 bits, and turned into
-integers in units of 2^-F.  Everything else is integer arithmetic: each
-shift multiplies every power by q / (qk + p), the Bernoulli terms run
-through the exact rising factorials, and B_2m / (2m)! comes from the
-tangent numbers (Brent-Harvey), cached per (M, P).  N and M are chosen
-once per pass so that Johansson's bound for real s with s + 2M - 1 > 0
-(Rigorous high-precision computation of the Hurwitz zeta function and its
-derivatives, Numer. Algorithms 2015),
+(k + a)^-s come from fixedpoint.power, in units of 2^-F.  Each shift
+multiplies every power by q / (qk + p), the Bernoulli terms run through
+the exact rising factorials, and B_2m / (2m)! comes from the tangent numbers
+(Brent-Harvey), cached per (M, P), at a relative precision P = F + log2
+of the largest power + 16 bits.  N and M are chosen once per pass so that
+Johansson's bound for real s with s + 2M - 1 > 0,
 
     |R| <= 4 |(s)_2M| / (2 pi)^2M X^(1-s-2M) / (s + 2M - 1),
 
@@ -85,44 +90,45 @@ when the sum cancels, as it does at negative s, where the powers grow
 with k and the value does not.
 
 The error estimate eps.  The eps of a Hurwitz value is that remainder
-bound plus a count of its fixed-point roundings times 2^-F (two units per
-power, one more per shift and per integer product, weighted by how the
-later products scale them) and the rounding of the result to
-precision + 15 digits.  Only the powers are not covered by a proof: their
-error is taken as one mpmath rounding at P bits, which is an estimate
-(ROADMAP item 6).  hurwitz_sum works at precision + 15 digits; its eps
-adds
+bound plus a count of its fixed-point roundings times 2^-F (the power
+routine's count per power, one more per shift and per integer product,
+weighted by how the later products scale them).  The value is the exact
+fixed-point sum; it is not rounded again.  hurwitz_sum adds, at a fixed
+point 2^-G with G = F of the centre pass,
 
-  - 10^-(precision+12) times the sum of the magnitudes of every term it
-    adds: |w p^-s a^-s| and |w p^-s (1 + a)^-s| per key,
-    |(s)_j / j!| |zeta(s + j, 5/2)| sum |w p^-s| |h|^j per centre value,
-    and |w p^-s zeta(s, a)| per key evaluated one by one;
-  - the centre values' own eps, weighted by |(s)_j / j!| sum |w p^-s| |h|^j;
+  - per key the power counts of a^-s and (1 + a)^-s times |w|, and per
+    centre value one unit for the floor of its exact-rational product;
+  - the centre values' own eps, weighted by |(s)_j / j!| sum |w| |h|^j;
   - the truncation tail, explicit: past J each term is at most
-    |(s)_j / j!| zb(s + j) 2^-j sum |w p^-s| with
+    |(s)_j / j!| zb(s + j) 2^-j sum |w| with
     zb(x) = (5/2)^-x (1 + (5/2)/(x - 1)) >= zeta(x, 5/2), and the terms
     shrink by about 1/5 per step once j > |s|;
-  - for keys evaluated one by one, |w p^-s| times each value's eps.
+  - for keys evaluated one by one, |w p^-s| times each value's eps;
 
-tests/test_numkernel.py checks every shift of the pass and the per-value
-eps against mpmath's independent rational-a route at 2p+20 digits, over a
-seeded corpus of s in [-25, 25] and a in (0, 2], and the moments of
-hurwitz_sum against per-key values; tests/test_eta.py checks the eps of
-whole eta series against a term-by-term reference.
+and each total over one p is scaled by p^-s / Q at a precision whose own
+rounding stays below 2^-15 of that total's.  These are counts of integer
+roundings, not a proof (ROADMAP item 6).
+
+tests/test_numkernel.py checks the power routine against mpmath over a
+seeded corpus of bases, exponents and fixed points, every shift of the
+pass and the per-value eps against mpmath's independent rational-a route
+at 2p+20 digits, over a seeded corpus of s in [-25, 25] and a in (0, 2],
+and the moments of hurwitz_sum against per-key values; tests/test_eta.py
+checks the eps of whole eta series against a term-by-term reference.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, lcm, log2, log10, pi
-from operator import attrgetter
+from math import ceil, comb, inf, lcm, log2, log10, pi
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple, Union
 
 if TYPE_CHECKING:
     import mpmath
+
+    from seifinv.fixedpoint import DyadicSum
 
 Rational = Union[int, Fraction]
 
@@ -134,10 +140,6 @@ class InvariantError(RuntimeError):
     Raised instead of ``assert`` so the checks survive ``python -O``.
     """
 
-#: The numeric operations run under mpmath's process-global context; this
-#: reentrant lock serializes the precision switches so callers can invoke
-#: them from multiple threads without any synchronization of their own.
-MP_LOCK = threading.RLock()
 
 _GUARD_DIGITS = 15
 
@@ -173,69 +175,135 @@ def psi2(x: Rational) -> Fraction:
     return f * f - f + Fraction(1, 6)
 
 
+# ---------------------------------------------------------------------------
+# BigFloat: dyadic numbers man 2^exp with integer man and exp
+
+
+def _normal(man: int, exp: int) -> Tuple[int, int]:
+    """The one (man, exp) of a dyadic with odd man, (0, 0) for zero."""
+    if not man:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def _round_up(man: int, exp: int, bits: int = 64) -> Tuple[int, int]:
+    """A dyadic >= man 2^exp >= 0 with at most bits bits of mantissa."""
+    shift = man.bit_length() - bits
+    return (man, exp) if shift <= 0 else (-(-man >> shift), exp + shift)
+
+
+def _dyadic(x: mpmath.mpf) -> Tuple[int, int]:
+    """(man, exp) of a finite mpmath mpf, exactly."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"BigFloat needs a finite number, got {x}")
+    return (-man if sign else man), exp
+
+
 class BigFloat:
-    """An mpmath float tagged with its decimal precision and an absolute
-    error estimate.
+    """A dyadic number man 2^exp tagged with its decimal precision and an
+    absolute error estimate eps, also dyadic and rounded up.
 
     ``digits`` is the precision every producing operation was asked for;
-    ``eps`` estimates |value - exact| from the working precision (see the
-    module docstring); it is not a rigorous bound.
+    ``eps`` estimates |value - exact| from the counted roundings (see the
+    module docstring); it is not a rigorous bound.  str, float, equality
+    and ``within`` are integer code; ``value`` and ``eps`` are mpmath
+    mpfs, exact, built (and mpmath imported) on the first read.
     """
 
     # read-only fields, but not a tuple: a number must not unpack or serialise as a JSON array
-    __slots__ = ("_value", "_digits", "_eps")
-    value = property(attrgetter("_value"))
-    digits = property(attrgetter("_digits"))
-    eps = property(attrgetter("_eps"))
+    __slots__ = ("_man", "_exp", "_digits", "_eman", "_eexp", "_mpfs")
 
     def __init__(self, value: mpmath.mpf, digits: int, eps: mpmath.mpf):
-        self._value, self._digits, self._eps = value, digits, eps
+        """value and eps as finite mpmath mpfs, taken exactly."""
+        self._man, self._exp = _dyadic(value)
+        self._eman, self._eexp = _dyadic(eps)
+        self._digits, self._mpfs = digits, (value, eps)
+
+    @classmethod
+    def _make(cls, man: int, exp: int, digits: int, err: int, eexp: int) -> BigFloat:
+        """man 2^exp with eps = err 2^eexp, err >= 0 rounded up to 64 bits."""
+        self = object.__new__(cls)
+        self._man, self._exp, self._digits = man, exp, digits
+        self._eman, self._eexp = _round_up(err, eexp)
+        self._mpfs = None
+        return self
+
+    @property
+    def digits(self) -> int:
+        return self._digits
+
+    def _mpf_pair(self):
+        if self._mpfs is None:
+            from mpmath import mp
+            from mpmath.libmp import from_man_exp
+
+            self._mpfs = (
+                mp.make_mpf(from_man_exp(self._man, self._exp)),
+                mp.make_mpf(from_man_exp(self._eman, self._eexp)),
+            )
+        return self._mpfs
+
+    @property
+    def value(self) -> mpmath.mpf:
+        return self._mpf_pair()[0]
+
+    @property
+    def eps(self) -> mpmath.mpf:
+        return self._mpf_pair()[1]
+
+    def _key(self):
+        return (*_normal(self._man, self._exp), self._digits, *_normal(self._eman, self._eexp))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._value, self._digits, self._eps) == (other._value, other._digits, other._eps)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self._value, self._digits, self._eps))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"BigFloat(value={self._value!r}, digits={self._digits!r}, eps={self._eps!r})"
+        return f"BigFloat(value={self.value!r}, digits={self._digits!r}, eps={self.eps!r})"
 
     def __str__(self) -> str:
-        from mpmath import mp
+        from seifinv.fixedpoint import to_str
 
-        return f"{mp.nstr(self.value, self.digits)}@{self.digits}"
+        return f"{to_str(self._man, self._exp, self._digits)}@{self._digits}"
 
     def __float__(self) -> float:
-        return float(self.value)
+        """Rounded to nearest; +-inf past the float range, as mpmath gives."""
+        man, exp = self._man, self._exp
+        try:
+            return float(man << exp) if exp >= 0 else man / (1 << -exp)
+        except OverflowError:
+            return inf if man > 0 else -inf
 
     def within(self, x: Rational, tol: Rational) -> bool:
-        """|value - x| <= tol, compared at the working precision
-        digits + 15 of the operations that produced the value."""
-        from mpmath import mp
-
-        with MP_LOCK, mp.workdps(self.digits + _GUARD_DIGITS):
-            return abs(self.value - _as_mpf(x)) <= _as_mpf(tol)
-
-
-def _as_mpf(x: Rational) -> mpmath.mpf:
-    from mpmath import mp
-
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+        """|value - x| <= tol, exactly."""
+        man, exp = self._man, self._exp
+        value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return abs(value - x) <= tol
 
 
 def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
-    """x rounded to precision + 15 working digits; eps = 10^-(precision+12) |x|
-    covers the rounding (and is 0 for x = 0, which is exact)."""
-    from mpmath import mp
+    """x rounded to nearest at precision + 15 working digits, as mpmath
+    rounds mpf(numerator) / denominator there; eps = 10^-(precision+12) |x|,
+    rounded up, covers the rounding (and is 0 for x = 0, which is exact)."""
+    from seifinv.fixedpoint import ceil_shift, dps_to_prec, round_rational
 
     x = Fraction(x)
-    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        v = mp.mpf(x.numerator) / x.denominator
-        return BigFloat(v, precision, mp.mpf(10) ** (-(precision + _GUARD_DIGITS - 3)) * abs(v))
+    prec = dps_to_prec(precision + _GUARD_DIGITS)
+    man, exp = round_rational(x.numerator, 1, prec)
+    man, e = round_rational(man, x.denominator, prec)
+    den = 10 ** (precision + _GUARD_DIGITS - 3)
+    shift = 64 - abs(man).bit_length() + den.bit_length()
+    return BigFloat._make(man, exp + e, precision, ceil_shift(abs(man), den, shift), exp + e - shift)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta
 
 
 def _nonpositive_integer(s) -> bool:
@@ -279,6 +347,7 @@ def _zeta_nonpositive(n: int, a: Fraction) -> Fraction:
 _EM_GUARD_BITS = 10
 
 _LOG2_2PI = log2(2 * pi)
+_LOG2_10 = log2(10)
 
 
 def _log2(x: Fraction) -> float:
@@ -308,13 +377,12 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     """zeta(s + step i, a) for i < J, from one Euler-Maclaurin pass over
     the rational a = p/q > 0 (module docstring).
 
-    The N + 1 powers (k + a)^-s, k <= N, are the only mpmath operations;
-    every later shift multiplies them by (q / (qk + p))^step in integer
-    fixed point.  eps of each value is the remainder bound at its shift plus its
-    count of fixed-point roundings times 2^-F and the final rounding to
-    precision + 15 digits."""
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
+    The N + 1 powers (k + a)^-s, k <= N, come from fixedpoint.power in
+    units of 2^-F; every later shift multiplies them by (q / (qk + p))^step
+    in integer fixed point.  Each value is its exact fixed-point sum; its eps
+    is the remainder bound at its shift plus its count of fixed-point
+    roundings times 2^-F."""
+    from seifinv.fixedpoint import power
 
     s, a = Fraction(s), Fraction(a)
     p, q = a.numerator, a.denominator
@@ -325,7 +393,7 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     fs = sn / sd
     # T: the value is wanted to 2^-T times its scale, max(1, a^-s) for s > 1
     # (every term is then positive) and 1 otherwise; F: the fixed-point unit
-    T = ceil((precision + _GUARD_DIGITS) * log2(10))
+    T = ceil((precision + _GUARD_DIGITS) * _LOG2_10)
     if s > 1 and a < 1:
         T -= int(-fs * _log2(a))
     F = T + _EM_GUARD_BITS
@@ -341,8 +409,8 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     # X = N + a and M: Johansson's bound on the remainder after M Bernoulli
     # terms at s' = s + u, for s' + 2M - 1 > 0,
     #   |R| <= 4 |(s')_2M| / (2 pi)^2M X^(1 - s' - 2M) / (s' + 2M - 1),
-    # must be at most 2^-T at every shift.  N ~ 0.13 T balances the mpmath
-    # powers against the integer Bernoulli terms; 2 pi X > 2 |s'| keeps the
+    # must be at most 2^-T at every shift.  N ~ 0.13 T balances the powers
+    # against the integer Bernoulli terms; 2 pi X > 2 |s'| keeps the
     # terms falling.  Should they stop falling above 2^-T, N grows by half.
     N = max(1, ceil(max(0.13 * max(T, 16), max(abs(float(x)) for x in sigmas) / pi) + 1 - a))
     shifts = range(0, step * J, step)
@@ -366,68 +434,65 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
             break
         N += (N + 1) // 2
 
-    # P: the precision of the powers, F plus log2 of the largest of them,
-    # so that each is exact to 2^-F however much the sum cancels
+    # P: the relative precision of the Bernoulli coefficients, F plus log2
+    # of the largest power, so that each product with them is exact to
+    # 2^-F however much the sum cancels
     P = max(F + ceil(max(-fs * _log2(a), -fs * lX)), 0) + 16
     Pc = -(-P // 64) * 64
     coeffs = _em_coefficients(-(-M // 64) * 64, Pc)
-    with MP_LOCK:
-        with mp.workprec(P):
-            ms = mp.mpf(-sn) / sd
-            powers = [to_fixed(((mp.mpf(q * k + p) / q) ** ms)._mpf_, F) for k in range(N + 1)]
-        tX = powers.pop()
-        dens = [(q * k + p) ** step for k in range(N)]
-        qs, xs = q**step, xn**step
-        X2 = sd * sd * xn * xn
-        g_scale = q * q / X2 / (2 * pi) ** 2
-        out = []
-        # per-unit rounding counts: each power starts within 2 units, and a
-        # shift by q / (qk + p) adds one; only k = 0 with a < 1 grows them
-        small = a < 1
-        Mi = M
-        for i, sigma in enumerate(sigmas):
-            u = step * i
-            su = sn + u * sd  # sigma = su / sd
-            # the fewest Bernoulli terms that meet 2^-T at this shift
-            least = max(1, (sd - su) // (2 * sd) + 1)
-            Mi = max(Mi, least)
-            while log_bound(u, Mi) > -T:
-                Mi += 1
-            while Mi > least and log_bound(u, Mi - 1) <= -T:
-                Mi -= 1
-            bound = log_bound(u, Mi)
-            e_X = 2 + i
-            count = (N - small) * (2 + i) + (small and (2 + i) * 2.0 ** (-u * _log2(a)))
-            total = sum(powers) + (tX >> 1) + tX * xn * sd // (q * (su - sd))
-            count += e_X / 2 + 1 + e_X * (xn / q) / abs(sigma - 1) + 1
-            # r_m = (sigma)_(2m-1) X^(1 - sigma - 2m); w bounds its rounding
-            # error over (2 pi)^2m, and |B_2m / (2m)!| <= 3.3 (2 pi)^-2m
-            r = tX * su * q // (sd * xn)
-            w = (e_X * abs(su / sd) * q / xn + 1) / (2 * pi) ** 2
-            size = 0
-            for m in range(1, Mi + 1):
-                c, e = coeffs[m - 1]
-                t = (r * c) >> e
-                total += t
-                size += abs(t)
-                count += 3.3 * w + 1
-                A = (su + (2 * m - 1) * sd) * (su + 2 * m * sd)
-                r = r * A * q * q // X2
-                w = w * abs(A) * g_scale + (2 * pi) ** (-2 * m - 2)
-            # the coefficients' own rounding, a relative 2^(1-Pc) per term
-            count += (size >> (Pc - 1)) + Mi
-            with mp.workdps(precision + _GUARD_DIGITS):
-                value = mp.mpf((total, -F))
-                eps = (
-                    mp.mpf((ceil(count), -F))
-                    + mp.ldexp(1, ceil(bound + 1e-6))
-                    + abs(value) * mp.ldexp(1, 1 - mp.prec)
-                )
-            out.append(BigFloat(value, precision, eps))
-            if i + 1 < J:
-                powers = [t * qs // d for t, d in zip(powers, dens)]
-                tX = tX * qs // xs
-        return out
+    powers, e0 = [], 1
+    for k in range(N + 1):
+        v, e = power(q * k + p, q, s, F)
+        powers.append(v)
+        e0 = max(e0, e)
+    tX = powers.pop()
+    dens = [(q * k + p) ** step for k in range(N)]
+    qs, xs = q**step, xn**step
+    X2 = sd * sd * xn * xn
+    g_scale = q * q / X2 / (2 * pi) ** 2
+    out = []
+    # per-unit rounding counts: each power starts within e0 units, and a
+    # shift by q / (qk + p) adds one; only k = 0 with a < 1 grows them
+    small = a < 1
+    Mi = M
+    for i, sigma in enumerate(sigmas):
+        u = step * i
+        su = sn + u * sd  # sigma = su / sd
+        # the fewest Bernoulli terms that meet 2^-T at this shift
+        least = max(1, (sd - su) // (2 * sd) + 1)
+        Mi = max(Mi, least)
+        while log_bound(u, Mi) > -T:
+            Mi += 1
+        while Mi > least and log_bound(u, Mi - 1) <= -T:
+            Mi -= 1
+        bound = log_bound(u, Mi)
+        e_X = e0 + i
+        count = (N - small) * e_X + (small and e_X * 2.0 ** (-u * _log2(a)))
+        total = sum(powers) + (tX >> 1) + tX * xn * sd // (q * (su - sd))
+        count += e_X / 2 + 1 + e_X * (xn / q) / abs(sigma - 1) + 1
+        # r_m = (sigma)_(2m-1) X^(1 - sigma - 2m); w bounds its rounding
+        # error over (2 pi)^2m, and |B_2m / (2m)!| <= 3.3 (2 pi)^-2m
+        r = tX * su * q // (sd * xn)
+        w = (e_X * abs(su / sd) * q / xn + 1) / (2 * pi) ** 2
+        size = 0
+        for m in range(1, Mi + 1):
+            c, e = coeffs[m - 1]
+            t = (r * c) >> e
+            total += t
+            size += abs(t)
+            count += 3.3 * w + 1
+            A = (su + (2 * m - 1) * sd) * (su + 2 * m * sd)
+            r = r * A * q * q // X2
+            w = w * abs(A) * g_scale + (2 * pi) ** (-2 * m - 2)
+        # the coefficients' own rounding, a relative 2^(1-Pc) per term
+        count += (size >> (Pc - 1)) + Mi
+        # the remainder bound 2^bound, in units of 2^-F rounded up
+        remainder = 1 << max(ceil(bound + 1e-6) + F, 0)
+        out.append(BigFloat._make(total, -F, precision, ceil(count) + remainder, -F))
+        if i + 1 < J:
+            powers = [t * qs // d for t, d in zip(powers, dens)]
+            tX = tX * qs // xs
+    return out
 
 
 def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
@@ -437,10 +502,9 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     -B_{1-s}(a) / (1 - s); elsewhere it is one Euler-Maclaurin pass,
     _em_shifts(s, a, 1, precision)[0], aimed at 10^-(precision+15) times
     max(1, a^-s) for s > 1 and absolute otherwise.  eps is Johansson's
-    remainder bound plus the pass's counted fixed-point roundings; the
-    mpmath powers inside it are the one estimated part (module docstring).
-    eps is checked against mpmath's independent rational-a route over a
-    tested corpus.
+    remainder bound plus the pass's counted fixed-point roundings (module
+    docstring).  eps is checked against mpmath's independent rational-a
+    route over a tested corpus.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -449,11 +513,8 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
         raise ValueError(f"hurwitz_zeta requires a > 0, got a = {a}")
     if _nonpositive_integer(s):
         return bigfloat_from_rational(_zeta_nonpositive(-int(s), a), precision)
-    from mpmath import mp
-
-    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        if abs(_as_mpf(s) - 1) < mp.mpf(10) ** (-precision):
-            raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
+    if abs(Fraction(s) - 1) < Fraction(1, 10**precision):
+        raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
     return _em_shifts(s, a, 1, precision)[0]
 
 
@@ -502,35 +563,49 @@ def _near_pole(s) -> bool:
     return n <= 1 and abs(s - n) < Fraction(1, 100)
 
 
-def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int):
-    """(sum, eps) of w p^-s zeta(s, a) over keys (p, a) -> w, one
-    hurwitz_zeta call per distinct a.  eps adds each value's eps, weighted,
-    and 10^-(precision+12) times the magnitude of every term added."""
-    from mpmath import mp
+def _eps_units(z: BigFloat) -> int:
+    """z's eps in units of its value's last place, rounded up."""
+    shift = z._eexp - z._exp
+    return z._eman << shift if shift >= 0 else -(-z._eman >> -shift)
 
-    total = eps = size = mp.mpf(0)
-    scales, values = {}, {}
-    for (p, a), w in keys.items():
-        if p not in scales:
-            scales[p] = mp.mpf(p) ** (-_as_mpf(s))
+
+def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int, acc: DyadicSum) -> None:
+    """Add sum w p^-s zeta(s, a) over keys (p, a) -> w to acc, one
+    hurwitz_zeta call per distinct a.  Its error adds each value's eps and
+    p^-s's count against the value, weighted by |w|, and one unit of the
+    floor of each product."""
+    if not keys:
+        return
+    from seifinv.fixedpoint import ceil_shift, power
+
+    s = Fraction(s)
+    values = {}
+    for _, a in keys:
         if a not in values:
             values[a] = hurwitz_zeta(s, a, precision)
+    bits = max(z._man.bit_length() for z in values.values()) + 16
+    scales = {}
+    for (p, a), w in keys.items():
+        if p not in scales:
+            # p^-s with 16 bits more than any value, so its count stays
+            # below 2^-16 of the value's
+            G = bits + max(0, ceil(float(s) * log2(p)))
+            scales[p] = (G, *power(p, 1, s, G))
+        G, c, ec = scales[p]
         z = values[a]
-        wp = _as_mpf(w) * scales[p]
-        total += wp * z.value
-        eps += abs(wp) * z.eps
-        size += abs(wp * z.value)
-    return total, eps + mp.mpf(10) ** (-(precision + _GUARD_DIGITS - 3)) * size
+        num, den = w.numerator, w.denominator
+        err = abs(num) * (ec * abs(z._man) + (c + ec) * _eps_units(z))
+        acc.add((num * c * z._man) // den, 1 + ceil_shift(err, den, 0), z._exp - G)
 
 
-def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int):
-    """(sum, eps) of w p^-s zeta(s, a) over the keys (p, a) -> w of one s.
+def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int, acc: DyadicSum) -> None:
+    """Add sum w p^-s zeta(s, a) over the keys (p, a) -> w of one s to acc.
 
     Keys with 0 < a <= 1 go through the moment expansion (module docstring),
     its centre values zeta(s + j, 5/2) from one _em_shifts pass, unless
     they are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need;
     the rest cost one hurwitz_zeta call each."""
-    from mpmath import mp
+    from seifinv.fixedpoint import ceil_shift, floor_shift, power
 
     # pair the keys of each p by |h|, h = a - 1/2: p -> {|h|: [w at +|h|, w at -|h|]}
     pairs: Dict[int, Dict[Fraction, list]] = defaultdict(dict)
@@ -545,21 +620,27 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int)
     even = any(wp + wm for _, wp, wm in rows)
     odd = any(u and wp - wm for u, wp, wm in rows)
     if _near_pole(s):
-        return _per_key_sum(s, keys, precision)
+        return _per_key_sum(s, keys, precision, acc)
     wd = precision + _GUARD_DIGITS
     J, log_tail = _taylor_length(s, wd)
     orders = [j for j in range(J) if (even, odd)[j % 2]]
     if len({a for _, a in keys if a <= 1}) * _PASS_ORDERS_PER_KEY <= len(orders):
-        return _per_key_sum(s, keys, precision)
+        return _per_key_sum(s, keys, precision, acc)
 
-    total, eps = _per_key_sum(s, rest, precision)
-    ms = -_as_mpf(s)
-    coeff = [mp.mpf(1)]  # (-1)^j (s)_j / j!
+    _per_key_sum(s, rest, precision, acc)
+    s = Fraction(s)
+    sn, sd = s.numerator, s.denominator
+    # the bracket of each p is summed in units of 2^-G, the centre's F
+    G = ceil(wd * _LOG2_10) + _EM_GUARD_BITS
+    cn, cd = [1], [1]  # (-1)^j (s)_j / j! = cn[j] / cd[j], exactly
     for j in range(1, J):
-        coeff.append(-coeff[-1] * _as_mpf(s + (j - 1)) / j)
+        cn.append(-cn[-1] * (sn + (j - 1) * sd))
+        cd.append(cd[-1] * j * sd)
     step = 2 if even != odd else 1
     centre = dict(zip(orders, _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)))
-    size = tail_weight = centre_eps = mp.mpf(0)
+    # the tail past J, 2 10^log_tail per unit of weight, in units of 2^-G:
+    # tn / td exactly, so that it scales a weight sum of any size
+    tn, td = (2.0 ** (log_tail * _LOG2_10 + G + 1)).as_integer_ratio()
     for p, by_u in pairs.items():
         # exact integer moments over the common denominators D of h and Q of w
         D = lcm(*(u.denominator for u in by_u))
@@ -575,26 +656,26 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int)
                 signed[j] += (o if j % 2 else e) * x
                 magnitude[j] += m * x
                 x *= U_step
-        part = part_size = part_eps = mp.mpf(0)
+        part, err = 0, -(-tn * weight0 // td) + 1
         for u, (wp, wm) in by_u.items():
             for a, w in ((Fraction(1, 2) + u, wp), (Fraction(1, 2) - u, wm)):
                 if w:
-                    heads = _as_mpf(a) ** ms + _as_mpf(1 + a) ** ms
+                    n, d = a.numerator, a.denominator
+                    h0, e0 = power(n, d, s, G)
+                    h1, e1 = power(n + d, d, s, G)
                     W = int(w * Q)
-                    part += W * heads
-                    part_size += abs(W) * heads
+                    part += W * (h0 + h1)
+                    err += abs(W) * (e0 + e1)
         for j in orders:
-            z, scale = centre[j], mp.mpf(D) ** j
-            part += coeff[j] * z.value * signed[j] / scale
-            part_size += abs(coeff[j] * z.value) * magnitude[j] / scale
-            part_eps += abs(coeff[j]) * z.eps * magnitude[j] / scale
-        scale = mp.mpf(p) ** ms / Q
-        total += scale * part
-        size += scale * part_size
-        centre_eps += scale * part_eps
-        tail_weight += scale * weight0
-    eps += mp.mpf(10) ** (3 - wd) * size + centre_eps + 2 * mp.mpf(10) ** log_tail * tail_weight
-    return total, eps
+            z, den = centre[j], cd[j] * D**j
+            part += floor_shift(cn[j] * signed[j] * z._man, den, z._exp + G)
+            err += 1 + ceil_shift(abs(cn[j]) * magnitude[j] * _eps_units(z), den, z._exp + G)
+        # p^-s / Q with 16 bits more than the bracket, so its rounding
+        # stays below 2^-15 of the bracket's
+        Gs = 16 + part.bit_length() + Q.bit_length() + max(0, ceil(float(s) * log2(p)))
+        c, ec = power(p, 1, s, Gs)
+        c, ec = c // Q, ec // Q + 1
+        acc.add(part * c, abs(part) * ec + (c + ec) * err, -(G + Gs))
 
 
 def hurwitz_sum(
@@ -611,9 +692,10 @@ def hurwitz_sum(
     of the orders they would need, each costs one hurwitz_zeta call
     instead.
 
-    eps sums 10^-(precision+12) times the magnitude of every term added,
-    the centre values' own eps, the explicit truncation tail, and the
-    per-value eps of keys evaluated one by one (module docstring).
+    The value is an exact dyadic sum of fixed-point products.  eps sums
+    their counted roundings, the centre values' own eps, the explicit
+    truncation tail, and the per-value eps of keys evaluated one by one
+    (module docstring).
     """
     groups: Dict[object, Dict[Tuple[int, Fraction], Fraction]] = {}
     for (s, p, a), w in terms.items():
@@ -627,15 +709,12 @@ def hurwitz_sum(
     for s in [s for s in groups if _nonpositive_integer(s)]:
         n = -int(s)
         exact += sum(w * p**n * _zeta_nonpositive(n, a) for (p, a), w in groups.pop(s).items())
-    head = bigfloat_from_rational(exact, precision)
     if not groups:
-        return head
-    from mpmath import mp
+        return bigfloat_from_rational(exact, precision)
+    from seifinv.fixedpoint import DyadicSum
 
-    with MP_LOCK, mp.workdps(precision + _GUARD_DIGITS):
-        total, eps = head.value, head.eps
-        for s, keys in groups.items():
-            part, part_eps = _group_sum(s, keys, precision)
-            total += part
-            eps += part_eps
-        return BigFloat(total, precision, eps)
+    acc = DyadicSum()
+    for s, keys in groups.items():
+        _group_sum(s, keys, precision, acc)
+    acc.add_rational(exact)
+    return BigFloat._make(acc.man, acc.exp, precision, acc.err, acc.exp)

@@ -450,11 +450,12 @@ def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):
 
 
 def test_exact_commands_never_import_mpmath():
-    # numkernel loads mpmath on the first numeric call, so only the eta
-    # series (--at) pays for its import.  No command, --at included, loads
-    # dataclasses or inspect (about 15-20 ms of start-up): the value types
-    # are namedtuples.  Modules are counted as added to a snapshot taken
-    # before the import, so whatever site loaded before it does not count.
+    # numkernel runs on Python integers alone, so no command loads mpmath,
+    # the eta series (--at) included, at any s and magnitude: only the
+    # verify oracles do.  No command loads dataclasses or inspect (about
+    # 15-20 ms of start-up): the value types are namedtuples.  Modules are
+    # counted as added to a snapshot taken before the import, so whatever
+    # site loaded before it does not count.
     commands = [
         ["plumbing", "--brieskorn", "2,3,65", "--theta", "--diagonalize"],
         ["froyshov", "--brieskorn", "5,9,11"],
@@ -462,6 +463,11 @@ def test_exact_commands_never_import_mpmath():
         ["dedekind", "3", "7"],
         ["table", "--triples", "2,3,5"],
         ["eta", "--brieskorn", "2,3,5", "--at=1/2"],
+        ["eta", "--brieskorn", "2,3,5", "--at=-3/4", "--digits", "30"],
+        ["eta", "--brieskorn", "2,3,5", "--at=5/2", "--digits", "20"],
+        # the log/exp power route, and a value past 2^3500 (about 2e+1348)
+        ["eta", "--brieskorn", "2,3,5", "--at=0.37", "--digits", "20"],
+        ["eta", "--brieskorn", "2,3,5", "--at=-600", "--digits", "5"],
     ]
     code = (
         "import contextlib, io, sys\n"
@@ -483,7 +489,7 @@ def test_exact_commands_never_import_mpmath():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     seen, heavy = proc.stdout.strip().splitlines()
-    loaded = [False] + [(0, False)] * 5 + [(0, True)]
+    loaded = [False] + [(0, False)] * len(commands)
     assert seen == repr(loaded)
     assert heavy == repr([[]] * (1 + len(commands)))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from seifinv import numkernel
+from seifinv import fixedpoint, numkernel
 from seifinv.numkernel import (
     BigFloat,
     frac,
@@ -276,6 +276,20 @@ def test_hurwitz_sum_moments_against_per_key_reference(monkeypatch):
             assert abs(got.value - ref) <= got.eps, (s, digits, abs(got.value - ref), got.eps)
 
 
+def test_hurwitz_sum_moments_with_weights_beyond_float_range(monkeypatch):
+    # the common denominator of the weights is 2^1100, past any float: the
+    # truncation tail is scaled by it in integers
+    s = Fraction(1, 2)
+    terms = {(s, 3, Fraction(k, 29)): Fraction(2**1100 + k, 2**1100) for k in range(1, 29)}
+    calls = _count_hurwitz_calls(monkeypatch)
+    passes = _count_centre_passes(monkeypatch)
+    got = hurwitz_sum(terms, 30)
+    assert passes and not calls
+    with mp.workdps(60):
+        ref = sum(_mpf(w) * mp.mpf(3) ** -0.5 * mp.zeta(0.5, _mpf(a)) for (_, _, a), w in terms.items())
+        assert abs(got.value - ref) <= got.eps, (abs(got.value - ref), got.eps)
+
+
 def test_signed_split_zero_function(monkeypatch):
     calls = _count_hurwitz_calls(monkeypatch)
     got = hurwitz_sum({(2, 3, Fraction(k + 1, 9)): 0 for k in range(3)}, 30)
@@ -325,3 +339,198 @@ def test_bigfloat_serialization_carries_precision_tag():
     assert text.startswith("1.644934")
     assert isinstance(z, BigFloat)
     assert float(z.eps) < 1e-28
+
+
+# ---------------------------------------------------------------------------
+# the integer primitives under the numeric layer, against mpmath
+
+
+def _power_corpus():
+    """(n, d, s, F): n/d in (0, 3000], s in [-25, 25] with denominators
+    1-12, and s = 1 +- 10^-29; F from 50 to 3500 bits, log-uniform, plus
+    the extremes at F = 3500."""
+    rng = random.Random(2010)
+    cases = [
+        (2999, 1, Fraction(-25), 3500),
+        (1, 3000, Fraction(299, 12), 3500),
+        (3000, 7, Fraction(-299, 12), 3500),
+        (5, 5, Fraction(7, 3), 200),
+    ]
+    near_one = [1 + Fraction(1, 10**29), 1 - Fraction(1, 10**29)]
+    for F in (50, 160, 700, 3500):
+        for s in near_one:
+            cases.append((rng.randint(1, 3000), rng.randint(1, 40), s, F))
+    while len(cases) < 160:
+        d = rng.randint(1, 40)
+        n = rng.randint(1, 3000 * d)
+        sd = rng.randint(1, 12)
+        s = Fraction(rng.randint(-25 * sd, 25 * sd), sd)
+        cases.append((n, d, s, int(50 * 70 ** rng.random())))
+    return cases
+
+
+def _power_reference(n, d, s, F):
+    """(n/d)^(-s) 2^F at F + 400 bits."""
+    with mp.workprec(F + 400):
+        return mp.ldexp((mp.mpf(n) / d) ** (-(mp.mpf(s.numerator) / s.denominator)), F)
+
+
+def test_power_within_its_counted_units():
+    # both routes of the fixed-point power: the production choice on every
+    # case, the log/exp route also on the small denominators
+    for i, (n, d, s, F) in enumerate(_power_corpus()):
+        ref = _power_reference(n, d, s, F)
+        routes = [fixedpoint.power(n, d, s, F)]
+        if s.denominator <= fixedpoint.ROOT_MAX_DENOMINATOR and i % 3 == 0:
+            routes.append(fixedpoint.power_exp(n, d, s, F))
+        for v, e in routes:
+            assert 1 <= e <= 4, (n, d, s, F, e)
+            with mp.workprec(F + 400):
+                assert abs(v - ref) <= e, (n, d, s, F, v, e)
+
+
+def test_integer_root_is_the_floor():
+    rng = random.Random(11)
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        x = rng.getrandbits(rng.randint(1, 3000))
+        y = fixedpoint._iroot(x, k)
+        assert y**k <= x < (y + 1) ** k, (x, k)
+
+
+def _dyadic_corpus():
+    """(man, exp, digits): 0, signed mantissas of 1-400 bits at magnitudes
+    10^-60..10^60 (both sides of mpmath's fixed-notation window), exact
+    halves, values just below a power of ten or a ...999 run, so that
+    rounding carries through the nines, magnitudes on both sides of
+    2^+-3500 and far beyond, decimal ties there, and more than 4300
+    digits."""
+    rng = random.Random(4)
+    cases = [(0, 0, d) for d in (1, 5, 30)]
+    cases += [(1, -3, 2), (5, -1, 1), (-5, -1, 1), (25, -2, 2), (15, -4, 3)]
+    while len(cases) < 1500:
+        bits = rng.randint(1, 400)
+        man = rng.getrandbits(bits) | (1 << (bits - 1))
+        exp = round(rng.uniform(-60, 60) * math.log2(10)) - bits
+        cases.append(((-man if rng.random() < 0.3 else man), exp, rng.randint(1, 100)))
+    while len(cases) < 2200:
+        # k leading digits then a run of nines, rounded to a dyadic
+        k, nines = rng.randint(1, 40), rng.randint(1, 60)
+        head = rng.randint(10 ** (k - 1), 10**k - 1) if rng.random() < 0.7 else 10**k - 1
+        x = Fraction(head * 10**nines + 10**nines - 1, 10 ** rng.randint(0, 120))
+        man, exp = fixedpoint.round_rational(x.numerator, x.denominator, rng.randint(60, 500))
+        cases.append((man, exp, rng.randint(max(1, k - 1), min(100, k + nines + 2))))
+    while len(cases) < 2500:
+        # leading bit at 2^+-(3500 + d): mpmath first divides by 10^b there
+        bits = rng.choice((1, 3, rng.randint(1, 400), rng.randint(3000, 4500)))
+        man = rng.getrandbits(bits) | (1 << (bits - 1))
+        top = rng.choice((3400, 3499, 3500, 3501, 3502, 3600, 5000, 10**5)) + rng.randint(-2, 2)
+        cases.append((man * rng.choice((1, -1)), rng.choice((1, -1)) * top - bits, rng.randint(1, 100)))
+    while len(cases) < 2700:
+        # a decimal tie h 10^k, h ending in 5, within an ulp beyond 2^+-3500:
+        # the digits hang on how 10^b and the quotient were rounded
+        digits = rng.randint(1, 30)
+        h = rng.randint(10**digits, 10 ** (digits + 1) - 1) // 10 * 10 + 5
+        k = rng.choice((1, -1)) * rng.randint(1060, 1600) - digits
+        x = Fraction(h) * Fraction(10) ** k
+        man, exp = fixedpoint.round_rational(x.numerator, x.denominator, rng.randint(60, 500))
+        cases.append((man + rng.choice((-1, 0, 1)), exp, digits))
+    for digits in (4299, 4400):
+        # past Python's limit on str of an int
+        man = rng.getrandbits(14600) | 1
+        cases.append((man, -14600 + rng.randint(-9, 9), digits))
+    return cases
+
+
+def test_bigfloat_str_matches_mpmath_nstr():
+    for man, exp, digits in _dyadic_corpus():
+        x = BigFloat._make(man, exp, digits, 0, 0)
+        assert str(x) == f"{mp.nstr(x.value, digits)}@{digits}", (man, exp, digits)
+
+
+def test_truncated_logs_match_mpmath_constants():
+    # the ln 2 and ln 10 by which to_str scales a value beyond 2^+-3500
+    from mpmath.libmp import mpf_ln2, mpf_ln10
+
+    ln10 = lambda W: fixedpoint._ln_fixed(10, 1, W)  # noqa: E731
+    for prec in range(5, 100):
+        for ours, theirs in ((fixedpoint._ln2, mpf_ln2), (ln10, mpf_ln10)):
+            man, exp = fixedpoint._log_truncated(ours, prec)
+            _, tman, texp, _ = theirs(prec)
+            assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, prec
+
+
+def test_pow10_and_truncate_round_as_mpmath():
+    # the directed roundings to_str follows beyond 2^+-3500
+    from mpmath.libmp import from_int, mpf_div, mpf_pow_int, round_down, round_up
+
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.choice((1, -1)) * rng.choice((rng.randint(0, 400), rng.randint(300, 40000)))
+        prec, up = rng.randint(20, 400), rng.random() < 0.5
+        man, exp = fixedpoint._pow10(n, prec, up)
+        _, tman, texp, _ = mpf_pow_int(from_int(10), n, prec, round_up if up else round_down)
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, (n, prec, up)
+        num, den = rng.getrandbits(rng.randint(1, 900)) + 1, rng.getrandbits(rng.randint(1, 900)) + 1
+        man, exp = fixedpoint._truncate(num, den, prec, up)
+        _, tman, texp, _ = mpf_div(from_int(num), from_int(den), prec, round_up if up else round_down)
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, (num, den, prec, up)
+
+
+def test_bigfloat_from_rational_rounds_as_mpmath():
+    # mpf(numerator) rounds once, the division by the denominator once more
+    rng = random.Random(6)
+    for _ in range(400):
+        x = Fraction(rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1)), rng.randint(1, 10**rng.randint(1, 60)))
+        digits = rng.randint(1, 60)
+        got = numkernel.bigfloat_from_rational(x, digits)
+        with mp.workdps(digits + 15):
+            assert got.value == mp.mpf(x.numerator) / x.denominator, (x, digits)
+        assert got.within(x, Fraction(10) ** -(digits + 12) * abs(x)), (x, digits)
+
+
+def test_bigfloat_contract():
+    a = BigFloat(mp.mpf(1.5), 30, mp.mpf(2) ** -100)
+    b = BigFloat._make(12, -3, 30, 1 << 20, -120)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1.5@30"
+    assert float(b) == 1.5 and float(BigFloat._make(-3, 200, 5, 0, 0)) == -3 * 2.0**200
+    big = (1 << 3000) + 1
+    assert [float(BigFloat._make(m, e, 5, 0, 0)) for m, e in ((-3, 5000), (big, -10), (big, -2000))] == [
+        float(mp.mpf(-3) * 2**5000), float(mp.mpf(big) / 2**10), float(mp.mpf(big) / 2**2000)]
+    assert b.within(Fraction(3, 2), 0) and not b.within(Fraction(3, 2) + Fraction(1, 10**40), 0)
+    assert b.eps == mp.mpf(2) ** -100
+    assert a != BigFloat._make(12, -3, 31, 1 << 20, -120)
+
+
+def test_hurwitz_sum_is_thread_safe():
+    # no process-global precision is switched: four threads at once give
+    # the serial str and eps at every precision
+    import threading
+
+    terms = {
+        (Fraction(1, 2), 3, Fraction(1, 3)): 1,
+        (Fraction(1, 2), 3, Fraction(2, 3)): -1,
+        (Fraction(-3, 4), 5, Fraction(2, 5)): Fraction(1, 2),
+        (Fraction(-3, 4), 5, Fraction(3, 5)): Fraction(-1, 2),
+        (Fraction(7, 3), 1, Fraction(3, 2)): 2,
+    }
+    precisions = (20, 30, 40)
+    serial = {d: hurwitz_sum(terms, d) for d in precisions}
+    want = {d: (str(v), v.eps) for d, v in serial.items()}
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def work():
+        barrier.wait()
+        for _ in range(3):
+            for d in precisions:
+                v = hurwitz_sum(terms, d)
+                seen.append((d, str(v), v.eps))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(seen) == 4 * 3 * len(precisions)
+    assert all(want[d] == (text, eps) for d, text, eps in seen)
