@@ -20,7 +20,6 @@ output round-trips losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -160,6 +159,8 @@ def _report_json(rows: Sequence[ReportRow]) -> str:
 
 
 def _report_csv(rows: Sequence[ReportRow]) -> str:
+    import csv  # only --csv pays for the import
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["a", "b", "c", "F", "eight_m", "Z", "P"])

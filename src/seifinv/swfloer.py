@@ -50,21 +50,26 @@ below 2 rho - n0 is ever counted, and the level table keeps only the
 levels above it.
 
 The grading depends on p only through its level n_p, so it is computed
-once per level, from the one sorted level table.  Two facts make that one
-pass:
+once per level, from one level table split at level 0.  Two facts make
+that one pass:
 
 * the box weights w = x bc + y ac + z ab are pairwise distinct, because w
-  fixes x mod a, y mod b and z mod c; so the levels are distinct integers,
-  and the count of levels below a level is its index in the sorted table;
+  fixes x mod a, y mod b and z mod c; so the levels are distinct integers.
+  That is what lets the table keep each non-positive level as one byte,
+  below[-n] = 1 in a bytearray of about n0 bytes, with no count lost, and
+  lets the count of positive levels below a positive level be its index
+  among them;
 * the positive levels are exactly the levels of the points of Delta, one
   each: n_q > 0 iff 2 w_q < abc kappa.
 
-So P(T) is read off the positive levels, with no point of Delta built.
+So only Delta's levels are sorted, as ints; one ascending walk over them
+counts the marked bytes of each widening interval (2 rho - n_p, rho) as
+it goes, and P(T) is read off the positive levels, with no point of
+Delta built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import ceil, floor
@@ -82,9 +87,10 @@ from seifinv.orbifold import (
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
 
 #: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is enumerated;
-#: larger triples are refused with ValueError.  The level table keeps only
-#: the box points with x/a + y/b + z/c < 2 c0, about kappa^3/6 of B, so
-#: at abc = 10^7 `froyshov` peaks at about 105 MB.
+#: larger triples are refused with ValueError.  The level table walks only
+#: the box points with x/a + y/b + z/c < 2 c0, about kappa^3/6 of B, and
+#: keeps Delta's levels as ints and the rest as one byte each, so at
+#: abc = 10^7 `froyshov` peaks at about 70 MB.
 MAX_BOX_POINTS = 10**7
 
 
@@ -111,8 +117,11 @@ class LaurentPolynomial:
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPolynomial":
-        """The sum of T^e over the given exponents, repeats counted."""
-        return cls(Counter(exponents))
+        """The sum of T^e over the given integer exponents, repeats counted.
+        A Counter holds no zero count, so its dict is taken as it is."""
+        P = cls.__new__(cls)
+        P._coeffs = dict(Counter(exponents))
+        return P
 
     def coeff(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -145,33 +154,25 @@ class LaurentPolynomial:
     def __hash__(self):
         return hash(tuple(self.terms()))
 
-    @staticmethod
-    def _term_str(e: int, c: int, latex: bool) -> str:
-        if e == 0:
-            return str(c)
-        if latex:
-            power = "T" if e == 1 else (f"T^{e}" if 0 <= e <= 9 else f"T^{{{e}}}")
-        else:
-            power = "T" if e == 1 else f"T^{e}"
-        if c == 1:
-            return power
-        if c == -1:
-            return f"-{power}"
-        return f"{c}{power}"
-
     def _render(self, latex: bool) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for e, c in self.terms():
-            term = self._term_str(e, c, latex)
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(f" - {term[1:]}")
+            if e == 0:
+                power = ""
+            elif e == 1:
+                power = "T"
+            elif latex and not 0 <= e <= 9:
+                power = f"T^{{{e}}}"
             else:
-                parts.append(f" + {term}")
-        return "".join(parts)
+                power = f"T^{e}"
+            size = abs(c)
+            term = power if size == 1 and power else f"{size}{power}"
+            parts.append(f" - {term}" if c < 0 else f" + {term}")
+        text = "".join(parts)
+        # the leading term keeps only its sign
+        return f"-{text[3:]}" if text[1] == "-" else text[3:]
 
     def __str__(self) -> str:
         return self._render(latex=False)
@@ -277,13 +278,16 @@ def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
     return rational_degree(rep), rho
 
 
-def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int]]:
+def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int], bytearray]:
     """The integer levels n_q = (deg L_q - c0)/ell that a grading can count,
-    sorted ascending, with n0 = abc * c0 and the reducible holonomy rho.
+    split at level 0, with n0 = abc * c0 and the reducible holonomy rho:
+    the positive levels (Delta's) as a sorted list, and the non-positive
+    ones as a bytearray `below` with below[i] = 1 iff -i is a level.
 
     A box point q has level n0 - w_q, w_q = x bc + y ac + z ab.  Only levels
     above 2 rho - n0 are ever counted, so only the weights
-    w <= 2 n0 - floor(2 rho) - 1 are materialised."""
+    w <= 2 n0 - floor(2 rho) - 1 are walked: w < n0 gives a positive level,
+    and n0 <= w marks below[w - n0], i in [0, n0 - floor(2 rho) - 1]."""
     N = _box_sized(a, b, c)
     c0, rho = _reducible_data(N)
     n0 = c0 * a * b * c
@@ -292,32 +296,40 @@ def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int]]:
     n0 = int(n0)
     top = 2 * n0 - floor(2 * rho) - 1
     ab = a * b
-    levels = []
+    positive = []
+    below = bytearray(max(0, top + 1 - n0))
+    ones = memoryview(b"\x01" * c)
     for _, _, w, run in _box_slices(a, b, c, top):
-        levels.extend(range(n0 - w, n0 - w - run * ab, -ab))
-    levels.sort()
-    return n0, rho, levels
+        # the slice's weights w, w + ab, ... below n0 come first: k of them
+        k = min(run, (n0 - 1 - w) // ab + 1) if w < n0 else 0
+        if k:
+            positive.extend(range(n0 - w, n0 - w - k * ab, -ab))
+        if k < run:
+            start = w + k * ab - n0
+            below[start : start + (run - k - 1) * ab + 1 : ab] = ones[: run - k]
+    positive.sort()
+    return n0, rho, positive, below
 
 
 def _gradings(a: int, b: int, c: int) -> Tuple[int, Dict[int, int]]:
     """n0 and the grading n_+ of every positive level n of the level table,
     as {n: n_+}; always odd.  A grading depends on a vortex only through
-    its level, so each is computed once per level.
-
-    The box weights are pairwise distinct (w fixes x mod a, y mod b and
-    z mod c), so the sorted levels are distinct integers and the count of
-    positive levels below a positive level is its index among them."""
-    n0, rho, levels = _level_table(a, b, c)
+    its level, so each is computed once per level, in one ascending walk
+    of the positive levels that counts the non-positive ones as it goes."""
+    n0, rho, positive, below = _level_table(a, b, c)
     # levels are integers and 0 <= rho < 1: (rho, n_p) is [1, n_p - 1], the
-    # positive levels below n_p, and (2 rho - n_p, rho) is
-    # [floor(2 rho) - n_p + 1, ceil(rho) - 1]
-    positive = bisect_left(levels, 1)
-    neg_end = bisect_left(levels, ceil(rho))
-    neg_shift = floor(2 * rho) + 1
+    # positive levels below n_p, counted by the index pos; (2 rho - n_p, rho)
+    # is [floor(2 rho) - n_p + 1, ceil(rho) - 1], which is the slice
+    # below[1 - ceil(rho) : n_p - floor(2 rho)], growing with n_p
+    shift = floor(2 * rho)
+    neg, start = 0, 1 - ceil(rho)
     gradings = {}
-    for pos, n_p in enumerate(levels[positive:]):
+    for pos, n_p in enumerate(positive):
+        stop = n_p - shift
+        neg += below.count(1, start, stop)
+        start = stop
         # odd by construction, so nothing to check here; the tests check it against a box oracle
-        gradings[n_p] = 2 * (neg_end - bisect_left(levels, neg_shift - n_p)) - 2 * pos - 1
+        gradings[n_p] = 2 * neg - 2 * pos - 1
     return n0, gradings
 
 

@@ -453,7 +453,8 @@ def test_exact_commands_never_import_mpmath():
     # numkernel runs on Python integers alone, so no command loads mpmath,
     # the eta series (--at) included, at any s and magnitude: only the
     # verify oracles do.  No command loads dataclasses or inspect (about
-    # 15-20 ms of start-up): the value types are namedtuples.  Modules are
+    # 15-20 ms of start-up): the value types are namedtuples; and none but
+    # --csv loads csv (about 1 ms), which none of these runs.  Modules are
     # counted as added to a snapshot taken before the import, so whatever
     # site loaded before it does not count.
     commands = [
@@ -475,7 +476,7 @@ def test_exact_commands_never_import_mpmath():
         "def added():\n"
         "    new = set(sys.modules) - known\n"
         "    known.update(new)\n"
-        "    return sorted(new & {'dataclasses', 'inspect'})\n"
+        "    return sorted(new & {'dataclasses', 'inspect', 'csv'})\n"
         "from seifinv.cli import main\n"
         "seen = ['mpmath' in sys.modules]\n"
         "heavy = [added()]\n"

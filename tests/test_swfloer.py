@@ -1,8 +1,10 @@
 """Simplex enumeration, vortex gradings, Poincare polynomials, gaps."""
 
 import random
+import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -151,22 +153,31 @@ def test_grading_against_bundle_walk_oracle(triple):
         assert n == _oracle_grading(p, *triple)
 
 
-def _box_oracle_gradings(a, b, c):
-    """Independent route: the level of every point of the whole weight box,
-    with both rho-shifted open intervals counted directly, with no window
-    and no bisect.  rho is 0 or 1/2, so doubled levels compare as integers."""
+def _box_levels(a, b, c):
+    """n0, r2 = 2 rho and the level n0 - w of every point of the whole
+    weight box, from the bundle data, with no window.  rho is 0 or 1/2, so
+    r2 is an integer."""
     N = brieskorn(a, b, c)
     assert N.ell == Fraction(-1, a * b * c)
     rep, _, rho = canonical_representative(trivial_bundle(N.base), defining_bundle(N))
     n0 = -rational_degree(rep) / N.ell
     assert n0.denominator == 1 and (2 * rho).denominator == 1
     n0, r2 = int(n0), int(2 * rho)
-    twice = [
-        2 * (n0 - x * b * c - y * a * c - z * a * b)
+    levels = [
+        n0 - x * b * c - y * a * c - z * a * b
         for x in range(a)
         for y in range(b)
         for z in range(c)
     ]
+    return n0, r2, levels
+
+
+def _box_oracle_gradings(a, b, c):
+    """Independent route: the level of every point of the whole weight box,
+    with both rho-shifted open intervals counted directly, with no window
+    and no running count.  Doubled levels compare as integers."""
+    n0, r2, levels = _box_levels(a, b, c)
+    twice = [2 * n for n in levels]
     delta = enumerate_delta(a, b, c)
     doubled = [2 * (n0 - p.x * b * c - p.y * a * c - p.z * a * b) for p in delta]
     # the bounds at rho are the same for every point, so they are applied
@@ -179,6 +190,23 @@ def _box_oracle_gradings(a, b, c):
         neg = sum(2 * r2 - n2 < t for t in below)
         graded.append((p, 2 * neg - 2 * pos - 1))
     return graded
+
+
+def _assert_split_table(a, b, c):
+    """The split level table against the whole box.  The positive levels
+    are Delta's, one each, distinct and sorted.  `below` marks exactly the
+    box levels in (2 rho - n0, 0], and its count of marks equals their
+    count, so no two levels share a byte.  Returns (rho, positive, below)."""
+    n0, r2, levels = _box_levels(a, b, c)
+    m0, rho, positive, below = _level_table(a, b, c)
+    assert (m0, 2 * rho) == (n0, r2)
+    assert positive == sorted(set(positive)) == sorted(n for n in levels if n > 0)
+    assert len(positive) == len(enumerate_delta(a, b, c))
+    counted = [n for n in levels if r2 - n0 < n <= 0]
+    assert set(below) <= {0, 1} and sum(below) == len(counted)
+    assert {i for i, m in enumerate(below) if m} == {-n for n in counted}
+    assert len(below) <= n0 + 1
+    return rho, positive, below
 
 
 def _oracle_corpus(size, max_abc, seed):
@@ -205,17 +233,81 @@ def test_graded_delta_against_full_box_oracle():
     assert any(any(e % 2 == 0 for e in t) for t in corpus)
     for t in corpus:
         assert graded_delta(*t) == _box_oracle_gradings(*t), t
-        # the gradings are keyed by level: levels are distinct, and the
-        # positive ones are Delta's, one each
-        levels = _level_table(*t)[2]
-        assert len(set(levels)) == len(levels), t
-        assert sum(n > 0 for n in levels) == len(enumerate_delta(*t)), t
+        # the gradings are keyed by level, and one byte stands for one
+        # non-positive level: both rest on the levels being distinct
+        _assert_split_table(*t)
+
+
+@pytest.mark.parametrize(
+    "triple, rho, n_positive, n_below",
+    [
+        ((2, 3, 5), Fraction(1, 2), 0, 0),  # Delta empty
+        ((2, 3, 7), Fraction(1, 2), 1, 0),  # no counted non-positive level
+        ((2, 3, 13), Fraction(1, 2), 1, 1),
+        ((3, 5, 7), 0, 2, 2),  # all exponents odd: rho = 0
+        ((5, 7, 9), 0, 6, 18),
+    ],
+)
+def test_split_level_table_cases(triple, rho, n_positive, n_below):
+    got_rho, positive, below = _assert_split_table(*triple)
+    assert (got_rho, len(positive), sum(below)) == (rho, n_positive, n_below)
+    assert graded_delta(*triple) == _box_oracle_gradings(*triple)
 
 
 def test_level_table_is_windowed():
-    # only levels above 2 rho - n0 can be counted: about kappa^3/6 of the box
+    # only levels above 2 rho - n0 can be counted, about kappa^3/6 of the
+    # box; of those only Delta's are ints, the rest one byte each
     a, b, c = 95, 106, 109
-    assert len(_level_table(a, b, c)[2]) < a * b * c // 5
+    n0, _, positive, below = _level_table(a, b, c)
+    assert len(positive) == len(enumerate_delta(a, b, c)) == 22860
+    assert len(below) <= n0 + 1
+    assert len(positive) + sum(below) < a * b * c // 5
+
+
+def _sorted_table_gradings(a, b, c):
+    """Independent of the split table: every counted level in one sorted
+    list, with two bisects per positive level.  Returns (n0, {n: n_+})."""
+    c0, rho = swfloer._reducible_data(brieskorn(a, b, c))
+    n0 = int(c0 * a * b * c)
+    levels = []
+    for _, _, w, run in swfloer._box_slices(a, b, c, 2 * n0 - floor(2 * rho) - 1):
+        levels.extend(range(n0 - w, n0 - w - run * a * b, -a * b))
+    levels.sort()
+    positive = bisect_left(levels, 1)
+    neg_end = bisect_left(levels, ceil(rho))
+    neg_shift = floor(2 * rho) + 1
+    gradings = {
+        n_p: 2 * (neg_end - bisect_left(levels, neg_shift - n_p)) - 2 * pos - 1
+        for pos, n_p in enumerate(levels[positive:])
+    }
+    return n0, gradings
+
+
+def test_split_table_against_sorted_table_oracle():
+    # the box oracle stops at abc <= 2e4; the sorted full table reaches 1e6
+    corpus = _oracle_corpus(12, 10**6, seed=21) + [(95, 106, 109)]
+    assert max(a * b * c for a, b, c in corpus[:-1]) > 5 * 10**5
+    for a, b, c in corpus:
+        n0, want = _sorted_table_gradings(a, b, c)
+        P = LaurentPolynomial.from_exponents(want.values())
+        assert poincare_polynomial(a, b, c) == P, (a, b, c)
+        assert graded_delta(a, b, c) == [
+            (p, want[n0 - p.x * b * c - p.y * a * c - p.z * a * b]) for p in enumerate_delta(a, b, c)
+        ], (a, b, c)
+
+
+def test_poincare_polynomial_peak_memory():
+    # about |Delta| ints and n0 bytes: 3.6 bytes per box point at this
+    # triple, where a sorted table of every counted level peaked at 8.9
+    a, b, c = 95, 106, 109
+    poincare_polynomial(a, b, c)
+    tracemalloc.start()
+    try:
+        poincare_polynomial(a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * a * b * c
 
 
 def test_published_polynomials():
