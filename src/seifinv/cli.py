@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["fast", "direct", "both"],
         default="fast",
-        help="fast: O(log alpha) (default); direct: the O(alpha) defining sum; both: compare",
+        help="fast: O(log alpha) (default); direct: the O(sqrt(alpha)) defining sum; both: compare",
     )
     p.set_defaults(func=_cmd_dedekind)
 

@@ -9,10 +9,11 @@ for coprime integers (beta, alpha), alpha > 0, and rational shifts x, y;
 
 Three evaluation routes are provided:
 
-  * ``dr_sum_direct`` -- the defining sum, term by term.  This is the
-    module's brute-force oracle.  Its terms run in one C-level pass (the
-    builtins ``sum``, ``map`` and ``range`` over ``operator.mod`` and
-    ``operator.mul``): O(alpha) time, O(1) memory.
+  * ``dr_sum_direct`` -- the defining sum over a full period.  This is the
+    module's oracle.  Its one non-closed part, the moment of the residues
+    (beta r + c) mod alpha against r, is summed over arithmetic-progression
+    runs of a residue class mod a stride m ~ sqrt(alpha): O(sqrt(alpha))
+    time, O(1) memory, and no reciprocity or Euclid descent.
   * ``reciprocity_R`` -- the right hand side of the two-case reciprocity
     law:
 
@@ -32,20 +33,19 @@ On top of these sit the composite sums consumed by the eta-invariant
 formulas: the Dedekind reductions S and d of the singular fibers' corner
 sums, and the holonomy-twisted variants S_rho and F_rho.  These run on
 ``dr_sum_fast`` only: one production route, O(log alpha) per fiber.  The
-O(alpha) forms (``dr_sum_direct`` and the corner sums ``corner_sum``) are
+defining forms (``dr_sum_direct`` and the corner sums ``corner_sum``) are
 oracles, run by ``seifinv verify``, ``seifinv dedekind --method direct``
-or ``both``, and the tests.  Each stays the defining sum, term by term,
-with no use of reciprocity: the terms run in one C-level pass in O(1)
-memory, and only the parts that a period sums in closed form (a
-permutation of the residues, an arithmetic progression) leave the pass.
+or ``both``, and the tests.  Each stays the defining sum, with no use of
+reciprocity: the parts that a period sums in closed form (a permutation
+of the residues, an arithmetic progression) are closed forms, and the one
+residue moment left is summed by ``_residue_moment`` in O(sqrt(alpha))
+time and O(1) memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import gcd
-from operator import mod, mul
+from math import gcd, isqrt
 from typing import Sequence
 
 from seifinv.numkernel import Rational, frac, psi2, sawtooth, sawtooth_pq
@@ -59,26 +59,59 @@ def _validate(beta: int, alpha: int) -> None:
 
 
 def _residue_moment(c: int, step: int, alpha: int) -> int:
-    """sum_{r=0}^{alpha-1} ((c + step r) mod alpha) r, for step coprime to alpha.
+    """sum_{r=0}^{alpha-1} ((c + step r) mod alpha) r, in O(sqrt(alpha)) steps.
 
-    One pass in C: the two ranges, the mods, the products and the sum run
-    in the interpreter's builtins, term by term, and nothing of length
-    alpha is built.
+    A stride m <= isqrt(alpha) + 1 is chosen by a plain scan to make
+    m + |delta| least, with delta = m step mod alpha taken balanced; some m
+    has |delta| < sqrt(alpha) (Dirichlet), and the choice changes only the
+    speed, never the value.  Along a residue class r = j + m q the residue
+    steps by delta, t_q = (t_0 + delta q) mod alpha, so it runs in maximal
+    runs that do not wrap, on which r and t are both arithmetic
+    progressions and sum_k (r + m k)(t + delta k) is a closed form.  A
+    class of n terms wraps about n |delta| / alpha times: about m + |delta|
+    runs in all (one a class when delta = 0, for a step not coprime to
+    alpha).  No reciprocity and no Euclid descent, and O(1) memory.
     """
     if alpha == 1:
         return 0
     c, step = c % alpha, step % alpha
-    return sum(map(mul, map(mod, range(c, c + step * alpha, step), repeat(alpha)), range(alpha)))
+    m, delta, cost = 1, step, alpha
+    for k in range(1, isqrt(alpha) + 2):
+        d = k * step % alpha
+        if 2 * d > alpha:
+            d -= alpha
+        if k + abs(d) < cost:
+            m, delta, cost = k, d, k + abs(d)
+    # with delta < 0 sum the reflected residues alpha - 1 - t instead:
+    # they are (-1 - c - step r) mod alpha, which step by -delta > 0
+    flip = delta < 0
+    if flip:
+        c, step, delta = alpha - 1 - c, -step, -delta
+    linear = squares = 0
+    for j in range(m):
+        r, n = j, (alpha - 1 - j) // m + 1
+        t = (c + j * step) % alpha
+        while n:
+            run = min(n, (alpha - 1 - t) // delta + 1) if delta else n
+            tri = run * (run - 1) // 2
+            linear += run * r * t + (r * delta + m * t) * tri
+            squares += tri * (2 * run - 1) // 3
+            r += m * run
+            t = (t + delta * run) % alpha
+            n -= run
+    total = linear + m * delta * squares
+    return (alpha - 1) * (alpha * (alpha - 1) // 2) - total if flip else total
 
 
 def dr_sum_direct(beta: int, alpha: int, x: Rational = 0, y: Rational = 0) -> Fraction:
-    """The defining sum, evaluated term by term over a full period.
+    """The defining sum over a full period.
 
-    Runs in O(alpha) time and O(1) memory, and serves as the independent
-    oracle for dr_sum_fast: no reciprocity, no Euclid descent.  The only
-    per-term work, the sum of m1 m2 below, is one C-level pass
-    (``_residue_moment``); the sums of m1 and m2 alone and the at most two
-    dropped terms are closed forms.
+    Runs in O(sqrt(alpha)) time and O(1) memory, and serves as the
+    independent oracle for dr_sum_fast: no reciprocity, no Euclid descent.
+    The one sum that is not a closed form, of m1 m2 below, is a residue
+    moment (``_residue_moment``), summed over arithmetic-progression runs;
+    the sums of m1 and m2 alone and the at most two dropped terms are
+    closed forms.
     """
     _validate(beta, alpha)
     x, y = Fraction(x), Fraction(y)
@@ -159,8 +192,8 @@ def _inverse_mod(beta: int, alpha: int) -> int:
 
 
 def corner_sum(alpha: int, beta: int, gamma: int, sign: int = 1) -> Fraction:
-    """Singular-fiber corner sum, evaluated term by term in one C-level
-    pass, O(alpha) time and O(1) memory:
+    """Singular-fiber corner sum, from its defining sum through one
+    residue moment, O(sqrt(alpha)) time and O(1) memory:
 
         S^sign = sum_{r=1}^{alpha} {(gamma + sign r beta)/alpha} ((r/alpha)).
 
@@ -179,7 +212,7 @@ def corner_sum(alpha: int, beta: int, gamma: int, sign: int = 1) -> Fraction:
     # ((r/alpha)) = (2r - alpha)/(2 alpha) for 0 < r < alpha, 0 at r = alpha:
     # the integer numerator over 2 alpha^2 is sum_{r<alpha} t_r (2r - alpha).
     # t_r runs over every residue once and t_0 = gamma, so the sum of t_r
-    # over 0 < r < alpha is closed and only the sum of t_r r is a pass.
+    # over 0 < r < alpha is closed and only the sum of t_r r is a moment.
     sum_t = alpha * (alpha - 1) // 2 - gamma
     acc = 2 * _residue_moment(gamma, sign * beta, alpha) - alpha * sum_t
     return Fraction(acc, 2 * alpha * alpha)

@@ -36,7 +36,8 @@ with value at 0
 
 Production evaluates eta(0) along one route only, the Dedekind forms
 above, in O(sum log alpha_i) through ``dedekind.dr_sum_fast``.  The
-O(alpha) corner-sum and closed forms are kept as the oracles
+corner-sum and closed forms, O(sqrt(alpha)) per fiber through
+``dedekind._residue_moment`` and free of reciprocity, are kept as the oracles
 ``eta_zero_pullback_direct`` and ``eta_zero_flat_direct``; they are run by
 ``seifinv verify eta-consistency`` and the tests, never by production.
 
@@ -137,7 +138,7 @@ def eta_zero_pullback(ctx: EtaContext) -> Fraction:
 
 def eta_zero_pullback_direct(ctx: EtaContext) -> Fraction:
     """Oracle for ``eta_zero_pullback``: the corner-sum form
-    ell/6 - sum_i (S_i^+ - S_i^-), in O(sum alpha_i)."""
+    ell/6 - sum_i (S_i^+ - S_i^-), in O(sum sqrt(alpha_i))."""
     N = ctx.fibration
     total = N.ell / 6
     for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
@@ -187,7 +188,7 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
         head - sum_i sum_{k=0}^{alpha_i-1} {(gamma_i - k beta_i)/alpha_i}
                                            (1 - 2 {(k + rho)/alpha_i}),
 
-    term by term in one C-level pass per fiber, O(sum alpha_i) time and
+    through one residue moment per fiber, O(sum sqrt(alpha_i)) time and
     O(1) memory; for rho = 0 the corner-sum oracle."""
     _require_canonical_flat(ctx)
     if ctx.rho == 0:
@@ -199,7 +200,7 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
         d = qr * a
         # {(gamma - k beta)/alpha} = m1/alpha with m1 = (gamma - k beta) mod
         # alpha, and {(k + rho)/alpha} = m2/d with m2 = k qr + pr < d, no mod.
-        # m1 runs over every residue once, so only the sum of m1 k is a pass.
+        # m1 runs over every residue once, so only the sum of m1 k is a moment.
         acc = (d - 2 * pr) * (a * (a - 1) // 2) - 2 * qr * dedekind._residue_moment(g, -b, a)
         total -= Fraction(acc, a * d)
     return total

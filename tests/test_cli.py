@@ -51,7 +51,7 @@ def test_dedekind_command(capsys):
 
 
 def test_dedekind_default_never_runs_the_oracle(capsys, monkeypatch):
-    # the O(alpha) defining sum runs only under --method direct or both
+    # the defining sum runs only under --method direct or both
     def refuse(*args):
         raise AssertionError("dr_sum_direct called")
 
@@ -428,7 +428,7 @@ def test_verify_lattice_checks_theta_against_Z(capsys, monkeypatch):
 
 
 def test_verify_eta_consistency_catches_fast_route_error(capsys, monkeypatch):
-    # the O(alpha) oracles in the suite must notice one wrong fast sum
+    # the defining-sum oracles in the suite must notice one wrong fast sum
     seen = []
     fast = dedekind.dr_sum_fast
 

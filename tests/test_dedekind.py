@@ -3,14 +3,18 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt
+from operator import mod, mul
 
 import pytest
 
+from seifinv import dedekind, eta
 from seifinv.dedekind import (
     F_rho,
     S_composite,
     S_rho,
+    _residue_moment,
     corner_sum,
     d_composite,
     dr_sum_direct,
@@ -18,6 +22,8 @@ from seifinv.dedekind import (
     reciprocity_R,
 )
 from seifinv.numkernel import sawtooth
+from seifinv.orbifold import VLineBundle
+from seifinv.seifert import brieskorn
 
 
 def _naive_dr_sum_direct(beta, alpha, x=0, y=0):
@@ -113,6 +119,94 @@ def test_corner_sum_against_per_term_loop():
             assert corner_sum(alpha, beta, gamma, sign) == want, (alpha, beta, gamma, sign)
 
 
+def _one_pass_residue_moment(c, step, alpha):
+    # the one C-level pass over all alpha terms that _residue_moment ran
+    # before its arithmetic-progression runs; step must not be 0 mod alpha
+    if alpha == 1:
+        return 0
+    c, step = c % alpha, step % alpha
+    return sum(map(mul, map(mod, range(c, c + step * alpha, step), repeat(alpha)), range(alpha)))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+def _moment_corpus():
+    """Seeded (c, step, alpha): every alpha <= 4 with every step and c in
+    [-9, 9]; then perfect squares and primes up to about 2e5, each with
+    step = +-1, +-2, near +-alpha/2 and one at random mod alpha, shifted by
+    a random multiple of alpha, and c anywhere in [-3 alpha, 3 alpha]."""
+    rng = random.Random(67)
+    cases = [
+        (c, step, alpha)
+        for alpha in (1, 2, 3, 4)
+        for step in range(-9, 10)
+        for c in range(-9, 10)
+        if alpha == 1 or step % alpha
+    ]
+    squares = [k * k for k in (2, 3, 5, 12, 31, 100, 316, 447)]
+    primes = [2, 3, 5, 7, 199999]
+    for _ in range(12):
+        n = int(10 ** rng.uniform(1, 5.2))
+        while not _is_prime(n):
+            n += 1
+        primes.append(n)
+    for alpha in squares + primes:
+        half = alpha // 2
+        for base in (1, -1, 2, -2, half, half + 1, -half, rng.randrange(1, alpha)):
+            if base % alpha:
+                step = base + alpha * rng.randint(-2, 2)
+                cases.append((rng.randint(-3 * alpha, 3 * alpha), step, alpha))
+    return cases
+
+
+def test_residue_moment_against_one_pass():
+    kinds = ["c<0", "c>=alpha", "step<0", "step>=alpha", "alpha>1e5 prime", "square"]
+    seen = dict.fromkeys(kinds, 0)
+    for c, step, alpha in _moment_corpus():
+        assert _residue_moment(c, step, alpha) == _one_pass_residue_moment(c, step, alpha), (
+            c, step, alpha,
+        )
+        seen["c<0"] += c < 0
+        seen["c>=alpha"] += c >= alpha
+        seen["step<0"] += step < 0
+        seen["step>=alpha"] += step >= alpha
+        seen["alpha>1e5 prime"] += alpha > 10**5 and _is_prime(alpha)
+        seen["square"] += alpha > 4 and isqrt(alpha) ** 2 == alpha
+    assert min(seen.values()) >= 8, seen
+
+
+def test_dr_sum_direct_at_alpha_1e9():
+    # a pass over all alpha terms could not finish here: the runs number
+    # about sqrt(alpha), a few 10^4
+    alpha = 10**9 + 7
+    shifts = ((123456789, Fraction(2, 7), Fraction(-5, 3)), (-2, Fraction(1, 2), Fraction(3, 10)))
+    for beta, x, y in shifts:
+        assert dr_sum_direct(beta, alpha, x, y) == dr_sum_fast(beta, alpha, x, y), beta
+
+
+def test_oracles_never_reach_the_fast_route(monkeypatch):
+    # the oracles stay independent of what they check: no Euclid descent
+    # and no reciprocity, on a rho = 0 and a rho = 1/2 triple
+    def refuse(*args):
+        raise AssertionError("fast route reached")
+
+    for name in ("dr_sum_fast", "_fast", "reciprocity_R"):
+        monkeypatch.setattr(dedekind, name, refuse)
+    assert dr_sum_direct(4, 7, Fraction(2, 7), 0) == Fraction(-3, 28)
+    assert corner_sum(7, 4, 2, 1) == Fraction(-1, 14)
+    assert corner_sum(7, 4, 2, -1) == Fraction(1, 14)
+    N = brieskorn(2, 3, 5)
+    ctx = eta.pullback_context(N, VLineBundle(N.base, 0, (0, 0, 0)))
+    assert eta.eta_zero_pullback_direct(ctx) == Fraction(91, 180)
+    known = (((3, 5, 7), 0, Fraction(-473, 630)), ((2, 3, 7), Fraction(1, 2), Fraction(-925, 504)))
+    for triple, rho, want in known:
+        flat = eta.trivial_flat_context(brieskorn(*triple))
+        assert flat.rho == rho, triple
+        assert eta.eta_zero_flat_direct(flat) == want, triple
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -123,7 +217,7 @@ def _peak_bytes(fn, *args):
 
 
 def test_oracles_run_in_constant_memory():
-    # one pass over alpha = 100003 terms; a list of them would take MBs
+    # alpha = 100003 terms in O(1) memory; a list of them would take MBs
     alpha, beta, gamma = 100003, 41789, 5021
     peaks = [
         _peak_bytes(dr_sum_direct, beta, alpha),
@@ -230,7 +324,7 @@ def test_corner_examples():
 
 def test_corner_decomposition_exhaustive():
     # S^+- = s(+-beta, alpha; gamma/alpha, 0) +- 1/2 ((q gamma/alpha)), both
-    # sides O(alpha), over every 1 <= gamma < alpha <= 60 and coprime beta
+    # sides oracles, over every 1 <= gamma < alpha <= 60 and coprime beta
     for alpha in range(2, 61):
         for beta in range(1, alpha):
             if gcd(beta, alpha) != 1:

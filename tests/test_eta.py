@@ -118,8 +118,8 @@ def _random_seifert(rng, allow_genus=True):
 
 
 def test_dual_route_cross_validation_random():
-    # the O(log alpha) Dedekind routes against the O(alpha) corner-sum and
-    # closed-form oracles over a random corpus
+    # the O(log alpha) Dedekind routes against the O(sqrt(alpha)) corner-sum
+    # and closed-form oracles over a random corpus
     rng = random.Random(43)
     for _ in range(300):
         N = _random_seifert(rng)
@@ -163,7 +163,7 @@ def test_flat_direct_against_per_term_loop():
 
 
 def test_flat_direct_runs_in_constant_memory():
-    # one pass per fiber; Sigma(2,3,100003) has rho = 1/2 and a fiber of
+    # one residue moment per fiber; Sigma(2,3,100003) has rho = 1/2 and a fiber of
     # order 100003, whose terms as a list would take MBs
     ctx = trivial_flat_context(brieskorn(2, 3, 100003))
     assert ctx.rho == Fraction(1, 2)

@@ -310,6 +310,29 @@ def test_poincare_polynomial_peak_memory():
     assert peak <= 5 * a * b * c
 
 
+def _held_and_peak_bytes(fn, *args):
+    # bytes still held while fn's result lives, and the peak of the call
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        return held, peak
+    finally:
+        tracemalloc.stop()
+
+
+def test_poincare_polynomial_keeps_no_level_dict():
+    # the gradings go straight into P's counts: the peak is the level table
+    # plus P, with no {level: grading} dict of |Delta| entries beside them,
+    # which took about 60 bytes a level
+    a, b, c = 95, 106, 109
+    poincare_polynomial(a, b, c)
+    table, _ = _held_and_peak_bytes(_level_table, a, b, c)
+    P, peak = _held_and_peak_bytes(poincare_polynomial, a, b, c)
+    assert peak <= table + P + 20 * len(enumerate_delta(a, b, c)), (table, P, peak)
+
+
 def test_published_polynomials():
     for t, coeffs in POLYNOMIALS.items():
         assert poincare_polynomial(*t) == LaurentPolynomial(coeffs), t
