@@ -285,13 +285,3 @@ def F_rho(alpha: int, beta: int, gamma: int, rho: Rational) -> Fraction:
     q = _inverse_mod(beta, alpha)
     return frac(Fraction(q * (gamma % alpha) + rho, alpha))
 
-
-def F_rho_total(
-    alphas: Sequence[int], betas: Sequence[int], gammas: Sequence[int], rho: Rational
-) -> Fraction:
-    """Componentwise sum of F_rho over all singular fibers."""
-    _validate_vectors(alphas, betas, gammas)
-    return sum(
-        (F_rho(a, b, g, rho) for a, b, g in zip(alphas, betas, gammas)),
-        Fraction(0),
-    )

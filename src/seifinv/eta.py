@@ -34,6 +34,11 @@ with value at 0
            = (deg K - deg|K|)/2 (1 - 2 rho) - ell rho (1 - rho) + ell/6
              + m rho - 2 S_rho - sum_i F_rho(alpha_i, beta_i, gamma_i).
 
+``flat_context`` takes L and rho from ``orbifold.canonical_representative``,
+whose rho is ``orbifold.holonomy_rho``.  ``trivial_flat_context`` is the one
+derivation of the trivial class's flat context, which is also the
+reducible that ``swfloer`` measures its gradings from.
+
 Production evaluates eta(0) along one route only, the Dedekind forms
 above, in O(sum log alpha_i) through ``dedekind.dr_sum_fast``.  The
 corner-sum and closed forms, O(sqrt(alpha)) per fiber through
@@ -58,12 +63,13 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from seifinv import dedekind
-from seifinv.numkernel import BigFloat, InvariantError, Rational, frac, hurwitz_sum
+from seifinv.numkernel import BigFloat, Rational, hurwitz_sum
 from seifinv.orbifold import (
     VLineBundle,
     canonical_bundle,
     canonical_representative,
     euler_characteristic,
+    holonomy_rho,
     rational_degree,
     subtract_bundles,
     trivial_bundle,
@@ -72,7 +78,7 @@ from seifinv.seifert import SeifertData, defining_bundle, is_homology_sphere
 
 #: Largest sum of the fiber orders alpha_i whose eta series `eta --at`
 #: evaluates; larger ones exit 2.  The series has O(sum alpha_i) terms, and
-#: its peak memory grows by about 0.9 KB per unit: 105 MB at 10^5, 192 MB at 2 * 10^5.
+#: its peak memory grows by about 0.9 KB per unit: 101 MB at 10^5, 188 MB at 2 * 10^5.
 MAX_SERIES_ALPHA_SUM = 2 * 10**5
 
 
@@ -80,9 +86,9 @@ class EtaContext(namedtuple("EtaContext", "fibration coupling rho")):
     """A Seifert fibration together with a coupling bundle and the fiber
     holonomy rho of the determinant-flat connection.
 
-    For the flat regime, rho must equal (deg K - 2c)/(2 ell) of the
-    canonical representative; build such contexts with ``flat_context``,
-    which checks this on construction.
+    For the flat regime, rho must equal ``holonomy_rho`` of the canonical
+    representative; build such contexts with ``flat_context``, whose
+    ``canonical_representative`` certifies this.
     """
 
     __slots__ = ()
@@ -99,9 +105,7 @@ class EtaContext(namedtuple("EtaContext", "fibration coupling rho")):
 
     @property
     def is_canonical_flat(self) -> bool:
-        deg_k = rational_degree(canonical_bundle(self.fibration.base))
-        c = rational_degree(self.coupling)
-        return (deg_k - 2 * c) / (2 * self.fibration.ell) == self.rho
+        return holonomy_rho(self.coupling, defining_bundle(self.fibration)) == self.rho
 
 
 def pullback_context(N: SeifertData, L: VLineBundle) -> EtaContext:
@@ -111,17 +115,16 @@ def pullback_context(N: SeifertData, L: VLineBundle) -> EtaContext:
 
 def flat_context(N: SeifertData, class_rep: VLineBundle) -> EtaContext:
     """Context of the determinant-flat connection on the class of
-    ``class_rep`` mod Z L0: the canonical representative plus its rho."""
+    ``class_rep`` mod Z L0: the canonical representative plus its rho,
+    which ``canonical_representative`` certifies."""
     rep, _, rho = canonical_representative(class_rep, defining_bundle(N))
-    ctx = EtaContext(N, rep, rho)
-    if not ctx.is_canonical_flat:
-        raise InvariantError(f"canonical representative of {class_rep} has the wrong rho")
-    return ctx
+    return EtaContext(N, rep, rho)
 
 
 def trivial_flat_context(N: SeifertData) -> EtaContext:
     """Flat context of the trivial bundle class (unique class on a
-    homology sphere)."""
+    homology sphere): the reducible of the Seiberg-Witten gradings, whose
+    flat data every other module reads from here."""
     return flat_context(N, trivial_bundle(N.base))
 
 
@@ -178,7 +181,7 @@ def eta_zero_flat(ctx: EtaContext) -> Fraction:
         _flat_head(ctx)
         + len(alphas) * rho
         - 2 * dedekind.S_rho(alphas, betas, gammas, rho)
-        - dedekind.F_rho_total(alphas, betas, gammas, rho)
+        - sum(dedekind.F_rho(a, b, g, rho) for a, b, g in zip(alphas, betas, gammas))
     )
 
 
@@ -232,7 +235,7 @@ def series_terms(ctx: EtaContext, s) -> Dict[Tuple[Rational, int, Fraction], Fra
     terms[s, 1, 1 - rho] -= head
     for a, b, g in fibers:
         for k in range(a):
-            x = frac(Fraction(k + rho, a))
+            x = Fraction(k + rho, a)
             w = Fraction((g - k * b) % a, a)
             terms[s, a, x] -= w
             terms[s, a, 1 - x] += w
@@ -253,10 +256,7 @@ def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
 def _require_trivial_homology_sphere(ctx: EtaContext) -> None:
     if not is_homology_sphere(ctx.fibration):
         raise ValueError("requires a Seifert homology sphere")
-    rep, _, rho = canonical_representative(
-        trivial_bundle(ctx.fibration.base), defining_bundle(ctx.fibration)
-    )
-    if ctx.coupling != rep or ctx.rho != rho:
+    if ctx != trivial_flat_context(ctx.fibration):
         raise ValueError("requires the trivial class's canonical flat context")
 
 

@@ -26,9 +26,6 @@ squared back m' times.  Every floor of that route is counted, and the
 working precision carries the log2 of the count as guard bits, so the
 result is within 2 or 3 units.  The counts are not a proof (ROADMAP
 item 6).
-
-numkernel imports this module on its first numeric call, so the commands
-that need only the exact layers do not load it.
 """
 
 from __future__ import annotations

@@ -37,9 +37,7 @@ Powers.  seifinv.fixedpoint.power(n, d, s, F) returns (n/d)^(-s) in
 units of 2^-F, with a count of units that bounds its error: the exact
 integer sd-th root of the rational power for s = sn/sd with sd <= 8
 (within 1 unit), fixed-point log and exp with argument reduction for any
-other s, such as 0.37 or 1 + 10^-29 (within 2 or 3 counted units).  That module
-is loaded on the first numeric call, so the exact commands never load
-it.
+other s, such as 0.37 or 1 + 10^-29 (within 2 or 3 counted units).
 
 Cost of hurwitz_sum.  Callers add the exact weights of equal keys first.
 For 0 < a <= 1 and h = a - 1/2, so that |h| / (5/2) <= 1/5,
@@ -125,10 +123,18 @@ from functools import lru_cache
 from math import ceil, comb, inf, lcm, log2, log10, pi
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple, Union
 
+from seifinv.fixedpoint import (
+    DyadicSum,
+    ceil_shift,
+    dps_to_prec,
+    floor_shift,
+    power,
+    round_rational,
+    to_str,
+)
+
 if TYPE_CHECKING:
     import mpmath
-
-    from seifinv.fixedpoint import DyadicSum
 
 Rational = Union[int, Fraction]
 
@@ -159,10 +165,8 @@ def sawtooth(x: Rational) -> Fraction:
 
 
 def sawtooth_pq(p: int, q: int) -> Fraction:
-    """((p/q)) for integers p, q with q > 0, without building intermediates.
-
-    Hot path for the Dedekind-Rademacher direct sums.
-    """
+    """((p/q)) for integers p, q with q > 0, without building intermediates
+    (one per fiber of ``dedekind.d_composite``)."""
     r = p % q
     if r == 0:
         return Fraction(0)
@@ -268,8 +272,6 @@ class BigFloat:
         return f"BigFloat(value={self.value!r}, digits={self._digits!r}, eps={self.eps!r})"
 
     def __str__(self) -> str:
-        from seifinv.fixedpoint import to_str
-
         return f"{to_str(self._man, self._exp, self._digits)}@{self._digits}"
 
     def __float__(self) -> float:
@@ -291,8 +293,6 @@ def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
     """x rounded to nearest at precision + 15 working digits, as mpmath
     rounds mpf(numerator) / denominator there; eps = 10^-(precision+12) |x|,
     rounded up, covers the rounding (and is 0 for x = 0, which is exact)."""
-    from seifinv.fixedpoint import ceil_shift, dps_to_prec, round_rational
-
     x = Fraction(x)
     prec = dps_to_prec(precision + _GUARD_DIGITS)
     man, exp = round_rational(x.numerator, 1, prec)
@@ -382,8 +382,6 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     in integer fixed point.  Each value is its exact fixed-point sum; its eps
     is the remainder bound at its shift plus its count of fixed-point
     roundings times 2^-F."""
-    from seifinv.fixedpoint import power
-
     s, a = Fraction(s), Fraction(a)
     p, q = a.numerator, a.denominator
     sn, sd = s.numerator, s.denominator
@@ -576,8 +574,6 @@ def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: in
     floor of each product."""
     if not keys:
         return
-    from seifinv.fixedpoint import ceil_shift, power
-
     s = Fraction(s)
     values = {}
     for _, a in keys:
@@ -605,8 +601,6 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
     its centre values zeta(s + j, 5/2) from one _em_shifts pass, unless
     they are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need;
     the rest cost one hurwitz_zeta call each."""
-    from seifinv.fixedpoint import ceil_shift, floor_shift, power
-
     # pair the keys of each p by |h|, h = a - 1/2: p -> {|h|: [w at +|h|, w at -|h|]}
     pairs: Dict[int, Dict[Fraction, list]] = defaultdict(dict)
     rest = {}
@@ -711,8 +705,6 @@ def hurwitz_sum(
         exact += sum(w * p**n * _zeta_nonpositive(n, a) for (p, a), w in groups.pop(s).items())
     if not groups:
         return bigfloat_from_rational(exact, precision)
-    from seifinv.fixedpoint import DyadicSum
-
     acc = DyadicSum()
     for s, keys in groups.items():
         _group_sum(s, keys, precision, acc)

@@ -28,7 +28,8 @@ is the unique L' = L + k L0 with
     rho(L') = (deg K - 2 deg L') / (2 ell) in [0, 1),
 
 and exp(2 pi i rho) is the holonomy of the determinant-flat connection
-along a regular fiber.
+along a regular fiber.  ``holonomy_rho`` is the one place that evaluates
+rho; ``canonical_representative`` finds k and certifies L' through it.
 """
 
 from __future__ import annotations
@@ -146,6 +147,15 @@ def holonomy_theta(L: VLineBundle, L0: VLineBundle) -> Fraction:
     return frac(rational_degree(L) / ell)
 
 
+def holonomy_rho(L: VLineBundle, L0: VLineBundle) -> Fraction:
+    """rho(L) = (deg K - 2 deg L)/(2 ell), not reduced mod 1."""
+    ell = rational_degree(L0)
+    if ell == 0:
+        raise ValueError("holonomy_rho requires deg L0 != 0")
+    deg_k = rational_degree(canonical_bundle(L.base))
+    return (deg_k - 2 * rational_degree(L)) / (2 * ell)
+
+
 def canonical_representative(
     class_rep: VLineBundle, L0: VLineBundle
 ) -> tuple[VLineBundle, int, Fraction]:
@@ -154,26 +164,12 @@ def canonical_representative(
     Returns (L', k, rho) with L' = class_rep + k L0, rho(L') in [0, 1)
     and k the unique such integer.
     """
-    ell = rational_degree(L0)
-    if ell == 0:
-        raise ValueError("canonical_representative requires deg L0 != 0")
     if class_rep.base != L0.base:
         raise ValueError("bundles live over different orbifolds")
-    deg_k = rational_degree(canonical_bundle(class_rep.base))
-    c0 = rational_degree(class_rep)
-    t = (deg_k - 2 * c0) / (2 * ell)
+    t = holonomy_rho(class_rep, L0)
     k = t.numerator // t.denominator
     rho = t - k
     rep = add_bundles(class_rep, scale_bundle(L0, k))
-    if not 0 <= rho < 1 or (deg_k - 2 * rational_degree(rep)) / (2 * ell) != rho:
+    if not 0 <= rho < 1 or holonomy_rho(rep, L0) != rho:
         raise InvariantError(f"canonical representative {rep} does not have rho = {rho}")
     return rep, k, rho
-
-
-def holonomy_rho(L: VLineBundle, L0: VLineBundle) -> Fraction:
-    """rho(L) = (deg K - 2 deg L)/(2 ell), not reduced mod 1."""
-    ell = rational_degree(L0)
-    if ell == 0:
-        raise ValueError("holonomy_rho requires deg L0 != 0")
-    deg_k = rational_degree(canonical_bundle(L.base))
-    return (deg_k - 2 * rational_degree(L)) / (2 * ell)

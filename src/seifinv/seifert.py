@@ -27,7 +27,7 @@ from math import gcd
 from typing import Tuple
 
 from seifinv.numkernel import InvariantError
-from seifinv.orbifold import Orbifold, VLineBundle
+from seifinv.orbifold import Orbifold, VLineBundle, rational_degree
 
 
 class SeifertData(namedtuple("SeifertData", "base betas smooth_degree")):
@@ -52,10 +52,7 @@ class SeifertData(namedtuple("SeifertData", "base betas smooth_degree")):
 
     @property
     def ell(self) -> Fraction:
-        deg = Fraction(self.smooth_degree)
-        for a, b in zip(self.base.alphas, self.betas):
-            deg += Fraction(b, a)
-        return deg
+        return rational_degree(defining_bundle(self))
 
 
 def defining_bundle(N: SeifertData) -> VLineBundle:

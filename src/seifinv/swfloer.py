@@ -76,16 +76,10 @@ from math import ceil, floor
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from seifinv.eta import froyshov_F
+from seifinv.eta import froyshov_F, trivial_flat_context
 from seifinv.numkernel import InvariantError
-from seifinv.orbifold import (
-    Orbifold,
-    VLineBundle,
-    canonical_representative,
-    rational_degree,
-    trivial_bundle,
-)
-from seifinv.seifert import SeifertData, brieskorn, defining_bundle
+from seifinv.orbifold import Orbifold, VLineBundle, rational_degree
+from seifinv.seifert import SeifertData, brieskorn
 
 #: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is enumerated;
 #: larger triples are refused with ValueError.  The level table walks only
@@ -275,8 +269,10 @@ def energies(points: Sequence[DeltaPoint], a: int, b: int, c: int) -> List[Fract
 
 
 def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
-    rep, _, rho = canonical_representative(trivial_bundle(N.base), defining_bundle(N))
-    return rational_degree(rep), rho
+    """(c0, rho): the degree and fiber holonomy of the reducible's flat
+    connection, the canonical representative of the trivial class."""
+    ctx = trivial_flat_context(N)
+    return rational_degree(ctx.coupling), ctx.rho
 
 
 def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int], bytearray]:

@@ -405,6 +405,16 @@ def test_invariant_error_exit_1(capsys, monkeypatch):
     assert captured.err.count("\n") == 1 and "invariant check failed" in captured.err
 
 
+def test_invariant_error_exit_1_on_wrong_representative(capsys, monkeypatch):
+    # the seed with weights (1, 2, 4) needs k = 59 copies of L0; dropping
+    # them must fail the production check
+    monkeypatch.setattr("seifinv.orbifold.add_bundles", lambda L1, L2: L1)
+    assert main(["eta", "--brieskorn", "2,3,5", "--gammas", "1,2,4", "--rho", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "invariant check failed" in captured.err
+
+
 def test_verify_lattice_catches_wrong_split(capsys, monkeypatch):
     # a split that loses the odd residual of Sigma(3,11,13) (rank 13) gives
     # Theta = 0, which only the full-rank oracle can tell from 8

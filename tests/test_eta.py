@@ -29,7 +29,7 @@ from seifinv.eta import (
     series_terms,
     trivial_flat_context,
 )
-from seifinv.numkernel import frac
+from seifinv.numkernel import InvariantError, frac
 from seifinv.orbifold import (
     Orbifold,
     VLineBundle,
@@ -37,7 +37,7 @@ from seifinv.orbifold import (
     rational_degree,
     trivial_bundle,
 )
-from seifinv.seifert import SeifertData, brieskorn
+from seifinv.seifert import SeifertData, brieskorn, defining_bundle
 from tests.test_numkernel import _count_centre_passes, _count_hurwitz_calls
 
 
@@ -95,6 +95,15 @@ def test_flat_requires_canonical_context():
     bad = EtaContext(N, trivial_bundle(N.base), Fraction(1, 3))
     with pytest.raises(ValueError):
         eta_zero_flat(bad)
+
+
+def test_flat_context_certifies_its_representative(monkeypatch):
+    # on Sigma(2,3,5) the class of L0 needs k = -1; a representative that
+    # drops the shift keeps rho(L0) = -1/2 and must fail the certification
+    monkeypatch.setattr("seifinv.orbifold.add_bundles", lambda L1, L2: L1)
+    N = brieskorn(2, 3, 5)
+    with pytest.raises(InvariantError):
+        flat_context(N, defining_bundle(N))
 
 
 def test_ell_zero_rejected():
