@@ -710,13 +710,27 @@ def build_parser() -> argparse.ArgumentParser:
 _SIGNED_RATIONAL_OPTIONS = ("--at", "--x", "--y")
 
 
+def _is_negative_number(arg: str) -> bool:
+    """Whether arg starts with "-" and reads as a Fraction literal, such as
+    -11/2 or -2.5e-1 (-1/0 included: it is refused once it is joined)."""
+    if not arg.startswith("-"):
+        return False
+    try:
+        Fraction(arg)
+    except ValueError:
+        return False
+    except ZeroDivisionError:
+        pass
+    return True
+
+
 def _join_negative_values(argv: Sequence[str]) -> List[str]:
     """Rewrite "--at -11/2" as "--at=-11/2".  argparse takes a separate
-    "-11/2" for an option (only plain negative numbers count as values), so
-    the flag would be left without its argument."""
+    "-11/2" or "-1e-3" for an option (only plain negative numbers count as
+    values), so the flag would be left without its argument."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_RATIONAL_OPTIONS and re.fullmatch(r"-\d+(/\d+)?", arg):
+        if out and out[-1] in _SIGNED_RATIONAL_OPTIONS and _is_negative_number(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

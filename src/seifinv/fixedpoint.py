@@ -96,15 +96,16 @@ def dps_to_prec(dps: int) -> int:
 _MP_LOG2_10 = log(10, 2)
 
 
-def _numeral(n: int, size: int) -> str:
-    """The decimal digits of n >= 0 as mpmath's numeral writes them for
-    about size digits: str below 250, else the two halves of a division by
-    a power of ten (which also keeps clear of Python's limit on str)."""
+def _numeral(n: int) -> str:
+    """The decimal digits of n >= 0: str below about 250 digits, else the
+    two halves of a division by a power of ten, which keeps clear of
+    Python's limit on str however large n is."""
+    size = n.bit_length() * 3 // 10  # at most n's number of digits
     if size < 250:
         return str(n)
-    half = size // 2 + (size & 1)
+    half = size // 2
     high, low = divmod(n, 10**half)
-    return _numeral(high, half) + _numeral(low, half).rjust(half, "0")
+    return _numeral(high) + _numeral(low).rjust(half, "0")
 
 
 def _truncate(num: int, den: int, prec: int, up: bool = False) -> Tuple[int, int]:
@@ -199,7 +200,7 @@ def to_str(man: int, exp: int, dps: int) -> str:
     fixdps = int(fixprec / _MP_LOG2_10 + 0.5)
     shift = exp + fixprec
     fixed = man << shift if shift >= 0 else man >> -shift
-    digits = _numeral((fixed * 10**fixdps) >> fixprec, dps + 3)
+    digits = _numeral((fixed * 10**fixdps) >> fixprec)
     exponent += len(digits) - fixdps - 1
     if len(digits) > dps and digits[dps] in "56789":
         digits = digits[:dps]
@@ -261,7 +262,7 @@ def _power_root(n: int, d: int, sn: int, sd: int, F: int) -> int:
     rational power, shifted by F sd bits."""
     k = -sn
     num, den = (n**k, d**k) if k >= 0 else (d**-k, n**-k)
-    return _iroot((num << (F * sd)) // den, sd)
+    return _iroot(floor_shift(num, den, F * sd), sd)
 
 
 def _atanh_fixed(u: int, v: int, W: int) -> Tuple[int, int]:
@@ -399,8 +400,9 @@ def power_exp(n: int, d: int, s: Fraction, F: int) -> Tuple[int, int]:
 
 def power(n: int, d: int, s: Fraction, F: int) -> Tuple[int, int]:
     """(v, e): (n/d)^(-s) 2^F within e units, for integers n, d > 0 and
-    F >= 0: the exact integer root (e = 1) for a small denominator of s,
-    fixed-point log and exp otherwise."""
+    any integer F (negative when a large s scales the power below 1): the
+    exact integer root (e = 1) for a small denominator of s, fixed-point
+    log and exp otherwise."""
     if s.denominator <= ROOT_MAX_DENOMINATOR:
         return _power_root(n, d, s.numerator, s.denominator, F), 1
     return power_exp(n, d, s, F)

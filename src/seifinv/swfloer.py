@@ -50,22 +50,17 @@ below 2 rho - n0 is ever counted, and the level table keeps only the
 levels above it.
 
 The grading depends on p only through its level n_p, so it is computed
-once per level, from one level table split at level 0.  Two facts make
-that one pass:
-
-* the box weights w = x bc + y ac + z ab are pairwise distinct, because w
-  fixes x mod a, y mod b and z mod c; so the levels are distinct integers.
-  That is what lets the table keep each non-positive level as one byte,
-  below[-n] = 1 in a bytearray of about n0 bytes, with no count lost, and
-  lets the count of positive levels below a positive level be its index
-  among them;
-* the positive levels are exactly the levels of the points of Delta, one
-  each: n_q > 0 iff 2 w_q < abc kappa.
-
-So only Delta's levels are sorted, as ints; one ascending walk over them
-counts the marked bytes of each widening interval (2 rho - n_p, rho) as
-it goes, and P(T) is read off the positive levels, with no point of
-Delta built.
+once per level, from one level table of one byte per box weight.  The box
+weights w = x bc + y ac + z ab are pairwise distinct, because w fixes
+x mod a, y mod b and z mod c; so the levels n0 - w are distinct integers,
+and mark[w] = 1 in a bytearray of about 2 n0 bytes stands for the level
+n0 - w with no count lost.  The positive levels are exactly the levels of
+the points of Delta, one each: n_q > 0 iff 2 w_q < abc kappa, i.e. the
+marks below n0.  So one walk down those marks (rfind) meets Delta's levels
+in ascending order, each one's index among them counting the positive
+levels below it, and counts the marks of each widening interval
+(2 rho - n_p, rho) as it goes: P(T) is read off the marks, with no sort
+and no point of Delta built.
 """
 
 from __future__ import annotations
@@ -84,8 +79,8 @@ from seifinv.seifert import SeifertData, brieskorn
 #: Largest abc whose weight box B = [0,a) x [0,b) x [0,c) is enumerated;
 #: larger triples are refused with ValueError.  The level table walks only
 #: the box points with x/a + y/b + z/c < 2 c0, about kappa^3/6 of B, and
-#: keeps Delta's levels as ints and the rest as one byte each, so at
-#: abc = 10^7 `froyshov` peaks at about 70 MB.
+#: keeps one byte per weight up to 2 n0, so at abc = 10^7 `froyshov` peaks
+#: at about 66 MB.
 MAX_BOX_POINTS = 10**7
 
 
@@ -275,16 +270,16 @@ def _reducible_data(N: SeifertData) -> Tuple[Fraction, Fraction]:
     return rational_degree(ctx.coupling), ctx.rho
 
 
-def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int], bytearray]:
+def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, bytearray]:
     """The integer levels n_q = (deg L_q - c0)/ell that a grading can count,
-    split at level 0, with n0 = abc * c0 and the reducible holonomy rho:
-    the positive levels (Delta's) as a sorted list, and the non-positive
-    ones as a bytearray `below` with below[i] = 1 iff -i is a level.
+    as (n0, rho, mark) with n0 = abc * c0 and the reducible holonomy rho.
 
     A box point q has level n0 - w_q, w_q = x bc + y ac + z ab.  Only levels
     above 2 rho - n0 are ever counted, so only the weights
-    w <= 2 n0 - floor(2 rho) - 1 are walked: w < n0 gives a positive level,
-    and n0 <= w marks below[w - n0], i in [0, n0 - floor(2 rho) - 1]."""
+    w <= top = 2 n0 - floor(2 rho) - 1 are walked, and `mark` is a bytearray
+    of top + 1 bytes (none when Delta is empty and top < 0) with mark[w] = 1
+    iff w is the weight of a box point: the level n0 - w is positive
+    (Delta's) iff w < n0."""
     N = _box_sized(a, b, c)
     c0, rho = _reducible_data(N)
     n0 = c0 * a * b * c
@@ -293,42 +288,36 @@ def _level_table(a: int, b: int, c: int) -> Tuple[int, Fraction, List[int], byte
     n0 = int(n0)
     top = 2 * n0 - floor(2 * rho) - 1
     ab = a * b
-    positive = []
-    below = bytearray(max(0, top + 1 - n0))
+    mark = bytearray(max(0, top + 1))
     ones = memoryview(b"\x01" * c)
     for _, _, w, run in _box_slices(a, b, c, top):
-        # the slice's weights w, w + ab, ... below n0 come first: k of them
-        k = min(run, (n0 - 1 - w) // ab + 1) if w < n0 else 0
-        if k:
-            positive.extend(range(n0 - w, n0 - w - k * ab, -ab))
-        if k < run:
-            start = w + k * ab - n0
-            below[start : start + (run - k - 1) * ab + 1 : ab] = ones[: run - k]
-    positive.sort()
-    return n0, rho, positive, below
+        mark[w : w + (run - 1) * ab + 1 : ab] = ones[:run]
+    return n0, rho, mark
 
 
-def _gradings(table: Tuple[int, Fraction, List[int], bytearray]) -> Iterator[Tuple[int, int]]:
+def _gradings(table: Tuple[int, Fraction, bytearray]) -> Iterator[Tuple[int, int]]:
     """The pairs (n, n_+) of every positive level n of a ``_level_table``
     and its grading, in ascending n; the grading is always odd.  A grading
     depends on a vortex only through its level, so each is computed once
-    per level, in one ascending walk of the positive levels that counts the
-    non-positive ones as it goes.  The pairs are yielded as they are made,
-    so a caller that only counts the gradings keeps none of them, and the
-    table is released when the walk ends."""
-    _, rho, positive, below = table
+    per level, in one walk down Delta's weights (up its levels) that counts
+    the marks of the non-positive levels as it goes.  The pairs are yielded
+    as they are made, so a caller that only counts the gradings keeps none
+    of them, and the table is released when the walk ends."""
+    n0, rho, mark = table
     # levels are integers and 0 <= rho < 1: (rho, n_p) is [1, n_p - 1], the
     # positive levels below n_p, counted by the index pos; (2 rho - n_p, rho)
-    # is [floor(2 rho) - n_p + 1, ceil(rho) - 1], which is the slice
-    # below[1 - ceil(rho) : n_p - floor(2 rho)], growing with n_p
-    shift = floor(2 * rho)
-    neg, start = 0, 1 - ceil(rho)
-    for pos, n_p in enumerate(positive):
-        stop = n_p - shift
-        neg += below.count(1, start, stop)
+    # is [floor(2 rho) - n_p + 1, ceil(rho) - 1], which is the weights
+    # [n0 + 1 - ceil(rho), n0 + n_p - floor(2 rho)), growing with n_p
+    end = 2 * n0 - floor(2 * rho)
+    neg, start = 0, n0 + 1 - ceil(rho)
+    pos, w = 0, mark.rfind(1, 0, n0)
+    while w >= 0:
+        stop = end - w
+        neg += mark.count(1, start, stop)
         start = stop
         # odd by construction, so nothing to check here; the tests check it against a box oracle
-        yield n_p, 2 * neg - 2 * pos - 1
+        yield n0 - w, 2 * neg - 2 * pos - 1
+        pos, w = pos + 1, mark.rfind(1, 0, w)
 
 
 def graded_delta(a: int, b: int, c: int) -> List[Tuple[DeltaPoint, int]]:

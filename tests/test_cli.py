@@ -118,12 +118,20 @@ def test_eta_series_exact_at_negative_integers(capsys, at, value):
 
 
 @pytest.mark.parametrize(
-    "argv", [("eta", "--brieskorn", "2,3,5", "--at"), ("dedekind", "4", "7", "--x")]
+    "argv",
+    [
+        ("eta", "--brieskorn", "2,3,5", "--at", "-1/2"),
+        ("dedekind", "4", "7", "--x", "-1/2"),
+        # decimals with an exponent, which argparse does not take as values
+        ("eta", "--brieskorn", "2,3,5", "--at", "-1e-3"),
+        ("dedekind", "4", "7", "--x", "-2.5e-1"),
+        ("dedekind", "4", "7", "--y", "-.5E+0"),
+    ],
 )
 def test_negative_rational_as_separate_argument(capsys, argv):
-    joined = run(capsys, *argv[:-1], f"{argv[-1]}=-1/2")
+    joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
     assert joined[0] == 0
-    assert run(capsys, *argv, "-1/2") == joined
+    assert run(capsys, *argv) == joined
 
 
 @pytest.mark.parametrize("digits", ["0", "-5"])

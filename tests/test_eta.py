@@ -321,6 +321,17 @@ def test_series_eps_covers_error_against_term_oracle():
             assert err <= got.eps, (ctx.fibration, ctx.rho, s, digits, err, got.eps)
 
 
+@pytest.mark.parametrize("triple, s", [((2, 3, 5), 200), ((2, 3, 7), 1000), ((3, 5, 7), Fraction(401, 2))])
+def test_series_at_large_s_against_term_oracle(triple, s):
+    # s far past the poles, where the exact integer root of each a^-s
+    # takes a negative shift
+    ctx = trivial_flat_context(brieskorn(*triple))
+    got = eta_series(ctx, Fraction(s), 30)
+    with mp.workdps(80):
+        err = abs(got.value - _series_oracle(ctx, Fraction(s), 30))
+        assert err <= got.eps, (triple, s, err, got.eps)
+
+
 def test_series_eps_covers_error_at_alpha_301():
     # a corpus case at alpha ~ 10^2.5, where the Taylor moments of
     # hurwitz_sum replace 305 per-key Hurwitz values

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
@@ -82,6 +83,20 @@ def test_hurwitz_against_mpmath(s, a):
         want = mp.zeta(mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else s,
                        mp.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else a)
         assert abs(got.value - want) < mp.mpf(10) ** -28
+
+
+@pytest.mark.parametrize(
+    "s, a",
+    [(50, Fraction(1, 10)), (200, Fraction(1, 7)), (Fraction(401, 2), Fraction(1, 7)), (1000, Fraction(3, 10))],
+)
+def test_hurwitz_at_large_s_on_the_root_route(s, a):
+    # a^-s scales the pass below 2^0 here, so the exact integer root takes
+    # a negative shift; against mpmath's rational-a route
+    got = hurwitz_zeta(s, a, 30)
+    with mp.workdps(80):
+        ref = mp.zeta(_mpf(Fraction(s)), (a.numerator, a.denominator))
+        assert abs(got.value - ref) <= got.eps, (s, a)
+        assert got.eps <= mp.mpf(10) ** -40 * ref, (s, a)
 
 
 def _eps_corpus():
@@ -446,6 +461,21 @@ def test_bigfloat_str_matches_mpmath_nstr():
     for man, exp, digits in _dyadic_corpus():
         x = BigFloat._make(man, exp, digits, 0, 0)
         assert str(x) == f"{mp.nstr(x.value, digits)}@{digits}", (man, exp, digits)
+
+
+def test_to_str_of_an_integer_part_past_the_str_limit():
+    # a 391 556-bit mantissa at 2^+123 458: mpmath divides by 10^b with b
+    # from the exponent alone, leaving an integer part of about 117 870
+    # digits, which its own to_str only prints with the limit on str lifted
+    man = random.Random(24).getrandbits(391556) | 1 << 391555 | 1
+    got = fixedpoint.to_str(man, -268098, 10)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = mp.nstr(BigFloat._make(man, -268098, 10, 0, 0).value, 10)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want and got.endswith("e+37164"), (got, want)
 
 
 def test_truncated_logs_match_mpmath_constants():

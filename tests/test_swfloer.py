@@ -192,21 +192,26 @@ def _box_oracle_gradings(a, b, c):
     return graded
 
 
-def _assert_split_table(a, b, c):
-    """The split level table against the whole box.  The positive levels
-    are Delta's, one each, distinct and sorted.  `below` marks exactly the
-    box levels in (2 rho - n0, 0], and its count of marks equals their
-    count, so no two levels share a byte.  Returns (rho, positive, below)."""
+def _assert_level_table(a, b, c):
+    """The one level table against the whole box.  Every byte is 0 or 1,
+    and the marked weights are exactly the box weights w <= top, with as
+    many marks as such box points, so no two weights share a byte.  The
+    marks below n0 are exactly Delta's weights, and the walk yields their
+    levels n0 - w in ascending order.  Returns (rho, mark, n0)."""
     n0, r2, levels = _box_levels(a, b, c)
-    m0, rho, positive, below = _level_table(a, b, c)
+    table = _level_table(a, b, c)
+    m0, rho, mark = table
     assert (m0, 2 * rho) == (n0, r2)
-    assert positive == sorted(set(positive)) == sorted(n for n in levels if n > 0)
-    assert len(positive) == len(enumerate_delta(a, b, c))
-    counted = [n for n in levels if r2 - n0 < n <= 0]
-    assert set(below) <= {0, 1} and sum(below) == len(counted)
-    assert {i for i, m in enumerate(below) if m} == {-n for n in counted}
-    assert len(below) <= n0 + 1
-    return rho, positive, below
+    top = 2 * n0 - r2 - 1
+    assert len(mark) == max(0, top + 1) <= 2 * n0 + 1
+    weights = [n0 - n for n in levels if n0 - n <= top]
+    assert set(mark) <= {0, 1} and sum(mark) == len(weights)
+    marked = {w for w, m in enumerate(mark) if m}
+    assert marked == set(weights)
+    delta = [n0 - p.x * b * c - p.y * a * c - p.z * a * b for p in enumerate_delta(a, b, c)]
+    assert {n0 - w for w in marked if w < n0} == set(delta) and len(set(delta)) == len(delta)
+    assert [n for n, _ in swfloer._gradings(table)] == sorted(delta)
+    return rho, mark, n0
 
 
 def _oracle_corpus(size, max_abc, seed):
@@ -234,38 +239,39 @@ def test_graded_delta_against_full_box_oracle():
     for t in corpus:
         assert graded_delta(*t) == _box_oracle_gradings(*t), t
         # the gradings are keyed by level, and one byte stands for one
-        # non-positive level: both rest on the levels being distinct
-        _assert_split_table(*t)
+        # weight: both rest on the weights being distinct
+        _assert_level_table(*t)
 
 
 @pytest.mark.parametrize(
     "triple, rho, n_positive, n_below",
     [
         ((2, 3, 5), Fraction(1, 2), 0, 0),  # Delta empty
-        ((2, 3, 7), Fraction(1, 2), 1, 0),  # no counted non-positive level
+        ((2, 3, 7), Fraction(1, 2), 1, 0),  # no mark from n0 on
         ((2, 3, 13), Fraction(1, 2), 1, 1),
         ((3, 5, 7), 0, 2, 2),  # all exponents odd: rho = 0
         ((5, 7, 9), 0, 6, 18),
     ],
 )
 def test_split_level_table_cases(triple, rho, n_positive, n_below):
-    got_rho, positive, below = _assert_split_table(*triple)
-    assert (got_rho, len(positive), sum(below)) == (rho, n_positive, n_below)
+    # n_positive marks below n0 (Delta's levels), n_below from n0 on
+    got_rho, mark, n0 = _assert_level_table(*triple)
+    assert (got_rho, mark.count(1, 0, n0), mark.count(1, n0)) == (rho, n_positive, n_below)
     assert graded_delta(*triple) == _box_oracle_gradings(*triple)
 
 
 def test_level_table_is_windowed():
     # only levels above 2 rho - n0 can be counted, about kappa^3/6 of the
-    # box; of those only Delta's are ints, the rest one byte each
+    # box, one byte per weight up to 2 n0
     a, b, c = 95, 106, 109
-    n0, _, positive, below = _level_table(a, b, c)
-    assert len(positive) == len(enumerate_delta(a, b, c)) == 22860
-    assert len(below) <= n0 + 1
-    assert len(positive) + sum(below) < a * b * c // 5
+    n0, _, mark = _level_table(a, b, c)
+    assert mark.count(1, 0, n0) == len(enumerate_delta(a, b, c)) == 22860
+    assert len(mark) <= 2 * n0 + 1
+    assert mark.count(1) < a * b * c // 5
 
 
 def _sorted_table_gradings(a, b, c):
-    """Independent of the split table: every counted level in one sorted
+    """Independent of the byte table: every counted level in one sorted
     list, with two bisects per positive level.  Returns (n0, {n: n_+})."""
     c0, rho = swfloer._reducible_data(brieskorn(a, b, c))
     n0 = int(c0 * a * b * c)
@@ -297,8 +303,8 @@ def test_split_table_against_sorted_table_oracle():
 
 
 def test_poincare_polynomial_peak_memory():
-    # about |Delta| ints and n0 bytes: 3.6 bytes per box point at this
-    # triple, where a sorted table of every counted level peaked at 8.9
+    # about 2 n0 bytes: 2.1 bytes per box point at this triple, where a
+    # sorted table of every counted level peaked at 8.9
     a, b, c = 95, 106, 109
     poincare_polynomial(a, b, c)
     tracemalloc.start()
