@@ -279,6 +279,11 @@ def _cmd_eta(args, parser) -> int:
 
     if args.at is not None:
         s = _parse_fraction(args.at, parser, "--at")
+        if abs(s) > eta_mod.MAX_SERIES_ABS_S:
+            parser.error(
+                f"--at {args.at}: |s| exceeds {eta_mod.MAX_SERIES_ABS_S}: "
+                "the eta series is too large to evaluate"
+            )
         if sum(N.alphas) > eta_mod.MAX_SERIES_ALPHA_SUM:
             parser.error(
                 f"--at {args.at}: sum of alphas {sum(N.alphas)} exceeds "

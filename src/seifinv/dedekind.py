@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from seifinv.numkernel import Rational, frac, psi2, sawtooth, sawtooth_pq
+from seifinv.numkernel import Rational, frac, psi2, sawtooth
 
 
 def _validate(beta: int, alpha: int) -> None:
@@ -250,7 +250,7 @@ def d_composite(
     _validate_vectors(alphas, betas, gammas)
     total = Fraction(0)
     for a, b, g in zip(alphas, betas, gammas):
-        total += sawtooth_pq(_inverse_mod(b, a) * (g % a), a)
+        total += sawtooth(Fraction(_inverse_mod(b, a) * g % a, a))
     return total
 
 

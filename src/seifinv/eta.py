@@ -81,6 +81,12 @@ from seifinv.seifert import SeifertData, defining_bundle, is_homology_sphere
 #: its peak memory grows by about 0.9 KB per unit: 101 MB at 10^5, 188 MB at 2 * 10^5.
 MAX_SERIES_ALPHA_SUM = 2 * 10**5
 
+#: Largest |s| at which `eta --at` evaluates the series; larger ones exit 2.
+#: At negative s time and peak memory grow about as s^2: on Sigma(2,3,5) at
+#: 30 digits s = -5000 takes about 56 s and 43 MB, s = -10^4 about 400 s
+#: and 140 MB.
+MAX_SERIES_ABS_S = 10**4
+
 
 class EtaContext(namedtuple("EtaContext", "fibration coupling rho")):
     """A Seifert fibration together with a coupling bundle and the fiber

@@ -3,8 +3,8 @@ printing and correct rounding, on Python integers alone.
 
     power(n, d, s, F)        (n/d)^(-s) in units of 2^-F, with a count of
                              units that bounds its error
-    to_str(man, exp, dps)    man 2^exp printed as mpmath's to_str (and so
-                             mp.nstr) prints it, at any magnitude
+    to_str(man, exp, dps)    man 2^exp correctly rounded to dps digits, in
+                             the notation of mp.nstr, at any magnitude
     round_rational(n, d, p)  n/d rounded to nearest at p bits, ties to even
     DyadicSum                an exact sum of dyadics man 2^exp and the
                              bound on its error
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt, log, log2
+from math import ceil, floor, isqrt, log10, log2
 from typing import Tuple
 
 
@@ -92,10 +92,6 @@ def dps_to_prec(dps: int) -> int:
     return max(1, int(round((dps + 1) * 3.3219280948873626)))
 
 
-#: log2(10) as mpmath's decimal conversion computes it
-_MP_LOG2_10 = log(10, 2)
-
-
 def _numeral(n: int) -> str:
     """The decimal digits of n >= 0: str below about 250 digits, else the
     two halves of a division by a power of ten, which keeps clear of
@@ -108,126 +104,48 @@ def _numeral(n: int) -> str:
     return _numeral(high) + _numeral(low).rjust(half, "0")
 
 
-def _truncate(num: int, den: int, prec: int, up: bool = False) -> Tuple[int, int]:
-    """num/den > 0 rounded toward zero (or away from it, up) to prec bits,
-    as (man, exp): mpmath's directed rounding of one exact operation."""
-    e = num.bit_length() - den.bit_length() - prec - 1
-    q, r = divmod(num << -e, den) if e < 0 else divmod(num, den << e)
-    sh = q.bit_length() - prec
-    if sh > 0:
-        q, r = q >> sh, r or q & ((1 << sh) - 1)
-        e += sh
-    return (q + 1 if up and r else q), e
-
-
-def _log_truncated(ln, prec: int) -> Tuple[int, int]:
-    """(man, exp): the constant that the fixed-point routine ln gives as
-    (c 2^W within e units), truncated to prec bits, at the first W past
-    prec + 32 where the error leaves no doubt about the truncation."""
-    W = prec + 32
-    while True:
-        v, e = ln(W)
-        top = (v + e).bit_length()
-        lo, hi = (v - e) >> (top - prec), (v + e) >> (top - prec)
-        if lo == hi and (v - e).bit_length() == top:
-            return lo, top - prec - W
-        W += 32
-
-
-def _cut(man: int, exp: int, prec: int, up: bool) -> Tuple[int, int]:
-    """man 2^exp (man > 0) cut to prec bits, toward zero or (up) away
-    from it."""
-    sh = man.bit_length() - prec
-    if sh <= 0:
-        return man, exp
-    return (-(-man >> sh) if up else man >> sh), exp + sh
-
-
-def _pow10(n: int, prec: int, up: bool = False) -> Tuple[int, int]:
-    """10^n as mpmath's mpf_pow_int computes it at prec bits, rounded
-    toward zero (or away from it, up), as (man, exp): exact below 10^334,
-    then binary powering at prec + 4 log2 n + 4 bits with every product
-    rounded in the same direction; 10^-n as the reciprocal of 10^n rounded
-    the other way at 5 more bits."""
-    if n < 0:
-        man, exp = _pow10(-n, prec + 5, not up)
-        return _truncate(1 << max(-exp, 0), man << max(exp, 0), prec, up)
-    if n < 334:
-        return _cut(5**n, n, prec, up)
-    workprec = prec + 4 * n.bit_length() + 4
-    pm, pe, man, exp = 1, 0, 5, 1
-    while True:
-        if n & 1:
-            pm, pe = _cut(pm * man, pe + exp, workprec, up)
-            n -= 1
-            if not n:
-                break
-        man, exp = _cut(man * man, exp + exp, workprec, up)
-        n //= 2
-    return _cut(pm, pe, prec, up)
-
-
 def to_str(man: int, exp: int, dps: int) -> str:
-    """man 2^exp with dps >= 1 significant digits, as mpmath's to_str (and
-    so mp.nstr) prints it: the digits are the value truncated to a binary
-    and then a decimal fixed point with dps + 3 digits, rounded half up on
-    the first dropped digit; fixed notation for a leading digit at 10^e
-    with min(-(dps//3), -5) < e < dps, trailing zeros stripped.  A value
-    beyond 2^+-3500 is first divided by 10^b, b = exp log10(2) as mpmath
-    rounds it, with mpmath's roundings of ln 2, ln 10, 10^b and the
-    quotient."""
+    """man 2^exp rounded to dps >= 1 significant digits, ties away from
+    zero, in mpmath's notation: fixed for a leading digit at 10^e with
+    min(-(dps//3), -5) < e < dps, trailing zeros stripped, x.0 for an
+    integer.
+
+    With |man| 2^exp = num/den, e starts from the float log10 and is
+    settled by the exact quotient q = floor(num 10^(dps-1-e) / den), which
+    must have dps digits; q is then rounded half up on its remainder."""
     if not man:
         return "0.0"
     sign = "-" if man < 0 else ""
-    man = abs(man)
-    zeros = (man & -man).bit_length() - 1
-    man, exp = man >> zeros, exp + zeros
-    bc = man.bit_length()
-    bitprec = int((dps + 3) * _MP_LOG2_10) + 10
-    exponent = 0
-    if abs(exp + bc) > 3500:
-        expprec = abs(exp).bit_length() + 5
-        l2, e2 = _log_truncated(_ln2, expprec)
-        l10, e10 = _log_truncated(lambda W: _ln_fixed(10, 1, W), expprec)
-        if exp:
-            num, den = abs(exp) * l2 << max(e2 - e10, 0), l10 << max(e10 - e2, 0)
-            q, e = _truncate(num, den, expprec)
-            exponent = (q << e if e >= 0 else q >> -e) * (1 if exp > 0 else -1)
-        pm, pe = _pow10(exponent, bitprec)
-        man, shift = _truncate(man << max(exp - pe, 0), pm << max(pe - exp, 0), bitprec)
-        exp, bc = shift, man.bit_length()
-    fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / _MP_LOG2_10 + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
-    digits = _numeral((fixed * 10**fixdps) >> fixprec)
-    exponent += len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = digits[:dps]
-        i = dps - 1
-        while i >= 0 and digits[i] == "9":
-            i -= 1
-        if i >= 0:
-            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+    num, den = (abs(man) << exp, 1) if exp >= 0 else (abs(man), 1 << -exp)
+    e = floor(log10(num) - log10(den))
+    low = 10 ** (dps - 1)
+    while True:
+        k = dps - 1 - e
+        n, d = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+        q, r = divmod(n, d)
+        if q < low:
+            e -= 1
+        elif q >= 10 * low:
+            e += 1
         else:
-            digits = "1" + "0" * (dps - 1)
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    split = 1
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
+            break
+    if 2 * r >= d:
+        q += 1
+        if q == 10 * low:
+            q, e = low, e + 1
+    digits, split = _numeral(q), 1
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            digits = "0" * -e + digits
         else:
-            split = exponent + 1
-            digits += "0" * (split - dps)
-        exponent = 0
+            split = e + 1
+        e = 0
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"
-    if exponent == 0:
+    if e == 0:
         return sign + digits
-    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+    return f"{sign}{digits}e{'+' if e > 0 else ''}{e}"
 
 
 #: Denominators of s up to which power takes the exact integer root.

@@ -76,8 +76,9 @@ with X = N + a and (s)_n the rising factorial.  The N + 1 powers
 multiplies every power by q / (qk + p), the Bernoulli terms run through
 the exact rising factorials, and B_2m / (2m)! comes from the tangent numbers
 (Brent-Harvey), cached per (M, P), at a relative precision P = F + log2
-of the largest power + 16 bits.  N and M are chosen once per pass so that
-Johansson's bound for real s with s + 2M - 1 > 0,
+of the largest power + 16 bits.  N is chosen once per pass, and M as the
+least at each shift, so that Johansson's bound for real s with
+s + 2M - 1 > 0,
 
     |R| <= 4 |(s)_2M| / (2 pi)^2M X^(1-s-2M) / (s + 2M - 1),
 
@@ -162,15 +163,6 @@ def sawtooth(x: Rational) -> Fraction:
     if f == 0:
         return Fraction(0)
     return f - Fraction(1, 2)
-
-
-def sawtooth_pq(p: int, q: int) -> Fraction:
-    """((p/q)) for integers p, q with q > 0, without building intermediates
-    (one per fiber of ``dedekind.d_composite``)."""
-    r = p % q
-    if r == 0:
-        return Fraction(0)
-    return Fraction(2 * r - q, 2 * q)
 
 
 def psi2(x: Rational) -> Fraction:
@@ -420,15 +412,18 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
             x = sn + (u + 2 * M - 1) * sd  # (s' + 2M - 1) sd
             return 2 + log_rising(u, 2 * M) - 2 * M * _LOG2_2PI - (x / sd) * lX - log2(x) + lsd
 
-        # M from the first shift, then raised until every shift meets 2^-T
-        M = max(1, (sd - sn) // (2 * sd) + 1)  # the least M with s + 2M - 1 > 0
-        bound = log_bound(0, M)
-        while bound > -T and (following := log_bound(0, M + 1)) < bound:
-            M, bound = M + 1, following
-        bound = max(log_bound(u, M) for u in shifts)
-        while bound > -T and (following := max(log_bound(u, M + 1) for u in shifts)) < bound:
-            M, bound = M + 1, following
-        if bound <= -T:
+        # per shift, (M, bound) for the least M with s' + 2M - 1 > 0 that
+        # meets 2^-T, climbing only while the bound falls (it is convex in M)
+        plan = []
+        for u in shifts:
+            M = max(1, (sd - sn - u * sd) // (2 * sd) + 1)
+            bound = log_bound(u, M)
+            while bound > -T and (following := log_bound(u, M + 1)) < bound:
+                M, bound = M + 1, following
+            if bound > -T:
+                break
+            plan.append((M, bound))
+        else:
             break
         N += (N + 1) // 2
 
@@ -437,7 +432,7 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     # 2^-F however much the sum cancels
     P = max(F + ceil(max(-fs * _log2(a), -fs * lX)), 0) + 16
     Pc = -(-P // 64) * 64
-    coeffs = _em_coefficients(-(-M // 64) * 64, Pc)
+    coeffs = _em_coefficients(-(-max(M for M, _ in plan) // 64) * 64, Pc)
     powers, e0 = [], 1
     for k in range(N + 1):
         v, e = power(q * k + p, q, s, F)
@@ -452,18 +447,9 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     # per-unit rounding counts: each power starts within e0 units, and a
     # shift by q / (qk + p) adds one; only k = 0 with a < 1 grows them
     small = a < 1
-    Mi = M
-    for i, sigma in enumerate(sigmas):
+    for i, (sigma, (Mi, bound)) in enumerate(zip(sigmas, plan)):
         u = step * i
         su = sn + u * sd  # sigma = su / sd
-        # the fewest Bernoulli terms that meet 2^-T at this shift
-        least = max(1, (sd - su) // (2 * sd) + 1)
-        Mi = max(Mi, least)
-        while log_bound(u, Mi) > -T:
-            Mi += 1
-        while Mi > least and log_bound(u, Mi - 1) <= -T:
-            Mi -= 1
-        bound = log_bound(u, Mi)
         e_X = e0 + i
         count = (N - small) * e_X + (small and e_X * 2.0 ** (-u * _log2(a)))
         total = sum(powers) + (tX >> 1) + tX * xn * sd // (q * (su - sd))

@@ -102,10 +102,6 @@ class LaurentPolynomial:
         self._coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPolynomial":
         """The sum of T^e over the given integer exponents, repeats counted.
         A Counter holds no zero count, so its dict is taken as it is."""
@@ -125,16 +121,6 @@ class LaurentPolynomial:
 
     def exponents(self) -> List[int]:
         return sorted(self._coeffs)
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def shift(self, delta: int) -> "LaurentPolynomial":
-        """Multiply by T^delta."""
-        return LaurentPolynomial({e + delta: c for e, c in self._coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -175,10 +161,6 @@ class LaurentPolynomial:
 
     def to_json(self) -> Dict[str, int]:
         return {str(e): c for e, c in self.terms()}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, int]) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in data.items()})
 
 
 def _box_sized(a: int, b: int, c: int) -> SeifertData:

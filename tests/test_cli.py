@@ -254,7 +254,7 @@ def test_table_json_round_trip(capsys):
     code, out = run(capsys, "table", "--triples", "3,5,11", "--json")
     row = json.loads(out)[0]
     assert Fraction(row["F"]) == 0
-    assert LaurentPolynomial.from_json(row["P"]) == LaurentPolynomial({-1: 1, 1: 1, 5: 1})
+    assert row["P"] == LaurentPolynomial({-1: 1, 1: 1, 5: 1}).to_json()
 
 
 def assert_refused(capsys, *argv):
@@ -387,6 +387,24 @@ def test_oversized_eta_series_exit_2():
         "the eta series is too large to evaluate"
     ]
     assert 2 + 3 + 100003 <= eta_mod.MAX_SERIES_ALPHA_SUM < 10000006
+
+
+@pytest.mark.parametrize("at", ["1e400", "1e20", "-1e6", "-10001"])
+def test_eta_series_large_s_exit_2(capsys, monkeypatch, at):
+    # the series cost grows about as s^2 (hours at |s| = 10^5), and 1e400
+    # overflows a float: |s| > 10^4 is refused before any term is built
+    def reached(*args):
+        raise AssertionError("eta_series reached")
+
+    monkeypatch.setattr(eta_mod, "eta_series", reached)
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--brieskorn", "2,3,5", f"--at={at}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"seifinv: error: --at {at}: |s| exceeds 10000: the eta series is too large to evaluate"
+    )
 
 
 def test_report_row_check_survives_optimize():

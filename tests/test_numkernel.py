@@ -1,9 +1,11 @@
 """Sawtooth/fractional-part primitives and the zeta evaluation layer."""
 
+import decimal
 import math
 import random
 import sys
 from collections import defaultdict
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,6 @@ from seifinv.numkernel import (
     psi2,
     riemann_zeta,
     sawtooth,
-    sawtooth_pq,
 )
 
 
@@ -49,7 +50,6 @@ def test_sawtooth_properties():
         assert sawtooth(x + 1) == sawtooth(x)
         assert 0 <= frac(x) < 1
         assert (x - frac(x)).denominator == 1
-        assert sawtooth_pq(x.numerator * 3, x.denominator * 3) == sawtooth(x)
 
 
 def test_hurwitz_closed_forms_at_special_points():
@@ -457,10 +457,26 @@ def _dyadic_corpus():
     return cases
 
 
-def test_bigfloat_str_matches_mpmath_nstr():
+def test_bigfloat_str_is_correctly_rounded():
+    # the printed digits are the exact value rounded half away from zero;
+    # wherever mp.nstr rounds correctly too, the bytes are its bytes.  It
+    # misrounds only some of the near-ties beyond 2^+-3500, where it
+    # divides by a rounded 10^b (2609 of the 2702 cases agree)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    agreed = 0
     for man, exp, digits in _dyadic_corpus():
         x = BigFloat._make(man, exp, digits, 0, 0)
-        assert str(x) == f"{mp.nstr(x.value, digits)}@{digits}", (man, exp, digits)
+        text, at = str(x).split("@")
+        value = Decimal(man << exp) if exp >= 0 else exact.scaleb(Decimal(man * 5**-exp), exp)
+        rounded = exact.copy()
+        rounded.prec, rounded.rounding = digits, decimal.ROUND_HALF_UP
+        want = rounded.plus(value)
+        assert at == str(digits) and Decimal(text) == want, (man, exp, digits, text, want)
+        theirs = mp.nstr(x.value, digits)
+        if Decimal(theirs) == want:
+            agreed += 1
+            assert text == theirs, (man, exp, digits)
+    assert agreed >= 2600, agreed
 
 
 def test_to_str_of_an_integer_part_past_the_str_limit():
@@ -476,35 +492,6 @@ def test_to_str_of_an_integer_part_past_the_str_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want and got.endswith("e+37164"), (got, want)
-
-
-def test_truncated_logs_match_mpmath_constants():
-    # the ln 2 and ln 10 by which to_str scales a value beyond 2^+-3500
-    from mpmath.libmp import mpf_ln2, mpf_ln10
-
-    ln10 = lambda W: fixedpoint._ln_fixed(10, 1, W)  # noqa: E731
-    for prec in range(5, 100):
-        for ours, theirs in ((fixedpoint._ln2, mpf_ln2), (ln10, mpf_ln10)):
-            man, exp = fixedpoint._log_truncated(ours, prec)
-            _, tman, texp, _ = theirs(prec)
-            assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, prec
-
-
-def test_pow10_and_truncate_round_as_mpmath():
-    # the directed roundings to_str follows beyond 2^+-3500
-    from mpmath.libmp import from_int, mpf_div, mpf_pow_int, round_down, round_up
-
-    rng = random.Random(12)
-    for _ in range(300):
-        n = rng.choice((1, -1)) * rng.choice((rng.randint(0, 400), rng.randint(300, 40000)))
-        prec, up = rng.randint(20, 400), rng.random() < 0.5
-        man, exp = fixedpoint._pow10(n, prec, up)
-        _, tman, texp, _ = mpf_pow_int(from_int(10), n, prec, round_up if up else round_down)
-        assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, (n, prec, up)
-        num, den = rng.getrandbits(rng.randint(1, 900)) + 1, rng.getrandbits(rng.randint(1, 900)) + 1
-        man, exp = fixedpoint._truncate(num, den, prec, up)
-        _, tman, texp, _ = mpf_div(from_int(num), from_int(den), prec, round_up if up else round_down)
-        assert Fraction(man) * Fraction(2) ** exp == Fraction(tman) * Fraction(2) ** texp, (num, den, prec, up)
 
 
 def test_bigfloat_from_rational_rounds_as_mpmath():

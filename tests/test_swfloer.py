@@ -425,13 +425,15 @@ def test_ladder_family_2():
 
 def test_ladder_family_2_recurrence():
     # P_k = P_{k-1} + T * D_k with D_n = sum_{j<=n} T^(2j(j-1))
-    prev = LaurentPolynomial.zero()
+    prev = {}
     for k in range(1, 6):
-        d_k = LaurentPolynomial({2 * j * (j - 1): 1 for j in range(1, k + 1)})
-        want = prev + d_k.shift(1)
+        want = dict(prev)
+        for j in range(1, k + 1):
+            e = 2 * j * (j - 1) + 1
+            want[e] = want.get(e, 0) + 1
         got = poincare_polynomial(2, 4 * k + 1, 4 * k + 3)
-        assert got == want, k
-        prev = got
+        assert got == LaurentPolynomial(want), k
+        prev = dict(got.terms())
 
 
 def test_ladder_family_3():
@@ -442,7 +444,7 @@ def test_ladder_family_3():
 
 
 def test_gap_examples():
-    assert gap_m(LaurentPolynomial.zero()) == 0
+    assert gap_m(LaurentPolynomial()) == 0
     assert gap_m(LaurentPolynomial({-1: 1})) == 1
     assert gap_m(LaurentPolynomial({1: 2, 3: 1, 7: 1, 9: 1, 25: 1})) == 0
     assert gap_m(LaurentPolynomial({-1: 1, -3: 2, -7: 1})) == 2
@@ -455,21 +457,13 @@ def test_froyshov_Z_table():
 
 
 def test_polynomial_printing():
-    assert str(LaurentPolynomial.zero()) == "0"
+    assert str(LaurentPolynomial()) == "0"
     assert str(LaurentPolynomial({-1: 1})) == "T^-1"
     assert str(LaurentPolynomial({1: 2, 25: 1, 3: 1})) == "2T + T^3 + T^25"
     assert str(LaurentPolynomial({0: 3, 1: -1})) == "3 - T"
     assert LaurentPolynomial({-1: 1, 5: 1}).latex() == "T^{-1}+T^5"
 
 
-def test_polynomial_json_round_trip():
-    P = poincare_polynomial(5, 7, 9)
-    assert LaurentPolynomial.from_json(P.to_json()) == P
-
-
 def test_polynomial_algebra():
     p = LaurentPolynomial({1: 1, 3: 2})
-    q = LaurentPolynomial({-1: 1, 3: -2})
-    assert (p + q) == LaurentPolynomial({1: 1, -1: 1})
-    assert p.shift(2) == LaurentPolynomial({3: 1, 5: 2})
     assert p.coeff(3) == 2 and p.coeff(100) == 0
