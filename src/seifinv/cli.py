@@ -39,10 +39,6 @@ from seifinv.orbifold import Orbifold, VLineBundle, trivial_bundle
 from seifinv.seifert import SeifertData, brieskorn, is_homology_sphere
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_fraction(text: str, parser: argparse.ArgumentParser, flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -147,9 +143,9 @@ def compute_row(a: int, b: int, c: int) -> ReportRow:
 def _row_json(r: ReportRow) -> dict:
     return {
         "triple": list(r.triple),
-        "F": _fmt(r.F),
+        "F": str(r.F),
         "eight_m": r.eight_m,
-        "Z": _fmt(r.Z),
+        "Z": str(r.Z),
         "P": r.P.to_json(),
     }
 
@@ -165,7 +161,7 @@ def _report_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.writer(buf)
     writer.writerow(["a", "b", "c", "F", "eight_m", "Z", "P"])
     for r in rows:
-        writer.writerow([*r.triple, _fmt(r.F), r.eight_m, _fmt(r.Z), str(r.P)])
+        writer.writerow([*r.triple, str(r.F), r.eight_m, str(r.Z), str(r.P)])
     return buf.getvalue().rstrip("\n")
 
 
@@ -177,7 +173,7 @@ def _report_latex(rows: Sequence[ReportRow]) -> str:
     for r in rows:
         a, b, c = r.triple
         lines.append(
-            f"$({a},{b},{c})$    &  ${_fmt(r.F)}$    &  ${r.eight_m}$    & ${_fmt(r.Z)}$     \\\\ \\hline"
+            f"$({a},{b},{c})$    &  ${r.F}$    &  ${r.eight_m}$    & ${r.Z}$     \\\\ \\hline"
         )
     lines.append(r"\end{tabular}")
     return "\n".join(lines)
@@ -187,7 +183,7 @@ def _report_text(rows: Sequence[ReportRow]) -> str:
     lines = [f"{'(a,b,c)':>14} {'F':>8} {'8m':>4} {'Z':>6}  P"]
     for r in rows:
         lines.append(
-            f"{str(r.triple):>14} {_fmt(r.F):>8} {r.eight_m:>4} {_fmt(r.Z):>6}  {r.P}"
+            f"{str(r.triple):>14} {str(r.F):>8} {r.eight_m:>4} {str(r.Z):>6}  {r.P}"
         )
     return "\n".join(lines)
 
@@ -208,11 +204,11 @@ def _cmd_dedekind(args, parser) -> int:
         parser.error(str(exc))
     if args.method == "both":
         if fast != direct:
-            print(f"MISMATCH fast={_fmt(fast)} direct={_fmt(direct)}")
+            print(f"MISMATCH fast={fast} direct={direct}")
             return 1
-        print(_fmt(fast))
+        print(fast)
     else:
-        print(_fmt(fast if args.method == "fast" else direct))
+        print(fast if args.method == "fast" else direct)
     return 0
 
 
@@ -236,7 +232,7 @@ def _cmd_eta(args, parser) -> int:
     N = _base_data(args, parser)
     if N.ell == 0:
         parser.error("the fibration has degree ell = 0; eta invariants need ell != 0")
-    out = {"ell": _fmt(N.ell)}
+    out = {"ell": str(N.ell)}
     if args.brieskorn:
         out["triple"] = list(N.alphas)
 
@@ -261,7 +257,7 @@ def _cmd_eta(args, parser) -> int:
             N, VLineBundle(N.base, 0, gammas)
         )
         out["gammas"] = list(gammas)
-        out["eta0"] = _fmt(eta_mod.eta_zero_pullback(ctx))
+        out["eta0"] = str(eta_mod.eta_zero_pullback(ctx))
     else:
         rep_seed = (
             VLineBundle(N.base, 0, gammas) if gammas is not None else trivial_bundle(N.base)
@@ -271,11 +267,11 @@ def _cmd_eta(args, parser) -> int:
             parser.error(
                 f"--rho {args.rho}: the canonical representative has rho = {ctx.rho}"
             )
-        out["rho"] = _fmt(ctx.rho)
+        out["rho"] = str(ctx.rho)
         out["gammas"] = list(ctx.coupling.gammas)
-        out["eta0"] = _fmt(eta_mod.eta_zero_flat(ctx))
+        out["eta0"] = str(eta_mod.eta_zero_flat(ctx))
         if gammas is None and is_homology_sphere(N):
-            out["F"] = _fmt(eta_mod.froyshov_F(N))
+            out["F"] = str(eta_mod.froyshov_F(N))
 
     if args.at is not None:
         s = _parse_fraction(args.at, parser, "--at")
@@ -295,7 +291,7 @@ def _cmd_eta(args, parser) -> int:
             parser.error(
                 f"--at {args.at}: the series meets the pole of zeta(s, a) or zeta(s - 1, a) ({exc})"
             )
-        out["eta_at"] = {"s": _fmt(s), "digits": args.digits, "value": str(val)}
+        out["eta_at"] = {"s": str(s), "digits": args.digits, "value": str(val)}
 
     print(json.dumps(out, indent=2))
     return 0
@@ -316,7 +312,7 @@ def _cmd_swf(args, parser) -> int:
         payload = {
             "triple": [a, b, c],
             "delta": [
-                {"point": list(p), "energy": _fmt(e), "n_plus": n}
+                {"point": list(p), "energy": str(e), "n_plus": n}
                 for (p, n), e in rows
             ],
             "P": P.to_json(),
@@ -326,7 +322,7 @@ def _cmd_swf(args, parser) -> int:
         return 0
     print(f"Sigma({a},{b},{c}): |Delta| = {len(graded)}")
     for (p, n), e in rows:
-        print(f"  {tuple(p)}: n_+ = {n}, E = {_fmt(e)}")
+        print(f"  {tuple(p)}: n_+ = {n}, E = {str(e)}")
     print(f"P = {P}")
     return 0
 
@@ -452,7 +448,7 @@ def _seeded_s(rng: random.Random) -> Fraction:
 
 
 def _series_matches_per_key_sum(ctx: eta_mod.EtaContext, s: Fraction, digits: int) -> bool:
-    """eta_series at s against the per-key sum of its merged terms, each
+    """eta_series at s against the per-key sum over its row keys, each
     zeta(s', a) by mpmath.zeta at digits + 25, an implementation
     independent of numkernel's Euler-Maclaurin pass: |difference| <= the
     series' eps plus 10^-(digits+20) times the reference's magnitude.
@@ -465,13 +461,16 @@ def _series_matches_per_key_sum(ctx: eta_mod.EtaContext, s: Fraction, digits: in
     got = eta_mod.eta_series(ctx, s, digits)
     with mp.workdps(digits + 25):
         ref = size = mp.mpf(0)
-        for (s1, p, a), w in eta_mod.series_terms(ctx, s).items():
-            if w:
-                s1_mpf = mp.mpf(s1.numerator) / s1.denominator
-                z = mp.zeta(s1_mpf, mp.mpf(a.numerator) / a.denominator)
-                wp = mp.mpf(w.numerator) / w.denominator * mp.power(p, -s1_mpf)
-                ref += wp * z
-                size += abs(wp * z)
+        for s1, parts in eta_mod.series_rows(ctx, s).items():
+            s1_mpf = mp.mpf(s1.numerator) / s1.denominator
+            for p, (D, Q, rows) in parts.items():
+                for U, ws in rows.items():
+                    for n, w in zip((D + 2 * U, D - 2 * U), ws):
+                        if w:
+                            z = mp.zeta(s1_mpf, mp.mpf(n) / (2 * D))
+                            wp = mp.mpf(w) / Q * mp.power(p, -s1_mpf)
+                            ref += wp * z
+                            size += abs(wp * z)
         return abs(got.value - ref) <= got.eps + mp.mpf(10) ** -(digits + 20) * size
 
 

@@ -58,12 +58,12 @@ correction are exposed as well, and their r-dependence cancels in F.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List
 
 from seifinv import dedekind
-from seifinv.numkernel import BigFloat, Rational, hurwitz_sum
+from seifinv.numkernel import BigFloat, Rational, Rows, hurwitz_sum
 from seifinv.orbifold import (
     VLineBundle,
     canonical_bundle,
@@ -77,8 +77,8 @@ from seifinv.orbifold import (
 from seifinv.seifert import SeifertData, defining_bundle, is_homology_sphere
 
 #: Largest sum of the fiber orders alpha_i whose eta series `eta --at`
-#: evaluates; larger ones exit 2.  The series has O(sum alpha_i) terms, and
-#: its peak memory grows by about 0.9 KB per unit: 101 MB at 10^5, 188 MB at 2 * 10^5.
+#: evaluates; larger ones exit 2.  The series has O(sum alpha_i) rows, and
+#: its peak memory grows by about 0.19 KB per unit: 35 MB at 10^5, 54 MB at 2 * 10^5.
 MAX_SERIES_ALPHA_SUM = 2 * 10**5
 
 #: Largest |s| at which `eta --at` evaluates the series; larger ones exit 2.
@@ -215,48 +215,51 @@ def eta_zero_flat_direct(ctx: EtaContext) -> Fraction:
     return total
 
 
-def series_terms(ctx: EtaContext, s) -> Dict[Tuple[Rational, int, Fraction], Fraction]:
-    """The eta series of the context at s as exact weights on the keys
-    (s', p, a) of p^(-s') zeta(s', a), s' in {s, s - 1}: the pullback
-    expansion when rho = 0, the holonomy-twisted one when rho in (0, 1)
-    (module docstring).
+def _add(rows: Dict[int, List[int]], H: int, w: int) -> None:
+    """Add the weight w of the key a = 1/2 + H/D to rows {|H|: [W+, W-]}."""
+    rows.setdefault(abs(H), [0, 0])[H < 0] += w
 
-    The weights of equal keys are added exactly.  At rho = 1/2 the signed
-    pairs zeta(s', x) and zeta(s', 1 - x) land on the same keys, and the
-    head term, whose two halves cancel, drops out.
+
+def series_rows(ctx: EtaContext, s) -> Dict[Rational, Dict[int, Rows]]:
+    """The eta series of the context at s as the integer row sets
+    s' -> p -> (D, Q, rows) of ``numkernel.hurwitz_sum``, s' in {s, s - 1}
+    (module docstring).  The pullback expansion is the holonomy-twisted one
+    at rho = 0, read with zeta(s', 0) = zeta(s', 1): its head cancels, its
+    s - 1 keys meet at a = 1, and the fiber pair at k = 0 cancels.
+
+    A fiber's keys (k + rho)/alpha and their mirrors, rho = p/q, are
+    a = 1/2 +- U/D with U = |2(k q + p) - alpha q| and D = 2 alpha q, their
+    weights integers over Q = alpha; fibers of equal alpha share one row set.
     """
     N, rho = ctx.fibration, ctx.rho
-    fibers = zip(N.alphas, N.betas, ctx.coupling.gammas)
-    terms = defaultdict(Fraction)
-    if rho == 0:
-        terms[s - 1, 1, 1] -= 2 * N.ell
-        for a, b, g in fibers:
-            for r in range(1, a):
-                terms[s, a, Fraction(r, a)] += Fraction((g + r * b) % a - (g - r * b) % a, a)
-        return terms
-
-    _require_canonical_flat(ctx)
-    head = _head_weight(N)
-    terms[s, 1, rho] += head
-    terms[s, 1, 1 - rho] -= head
-    for a, b, g in fibers:
-        for k in range(a):
-            x = Fraction(k + rho, a)
-            w = Fraction((g - k * b) % a, a)
-            terms[s, a, x] -= w
-            terms[s, a, 1 - x] += w
-    terms[s - 1, 1, rho] -= N.ell
-    terms[s - 1, 1, 1 - rho] -= N.ell
-    return terms
+    if rho:
+        _require_canonical_flat(ctx)
+    pr, qr = rho.numerator, rho.denominator
+    head, en, ed = _head_weight(N), N.ell.numerator, N.ell.denominator
+    # H of the keys rho and 1 - rho, over D = 2 q
+    ends = (2 * pr - qr, qr - 2 * pr) if rho else (qr, qr)
+    head_rows, tail_rows = {}, {}
+    for H, sign in zip(ends, (1, -1)):
+        _add(head_rows, H, sign * head.numerator)
+        _add(tail_rows, H, -en)
+    series = {s: {1: (2 * qr, head.denominator, head_rows)}, s - 1: {1: (2 * qr, ed, tail_rows)}}
+    for a, b, g in zip(N.alphas, N.betas, ctx.coupling.gammas):
+        rows = series[s].setdefault(a, (2 * a * qr, a, {}))[2]
+        for k in range(rho == 0, a):
+            H = 2 * (k * qr + pr) - a * qr
+            w = (g - k * b) % a
+            _add(rows, H, -w)
+            _add(rows, -H, w)
+    return series
 
 
 def eta_series(ctx: EtaContext, s, precision: int = 30) -> BigFloat:
-    """Numeric eta(s): the ``series_terms`` of the context summed by one
-    ``hurwitz_sum`` call.  Every term is a signed pair
-    w (zeta(s', x) - zeta(s', 1 - x)) except the s - 1 terms, so the kernel
-    evaluates only the odd Taylor centre values of the s keys; at an
-    integer s <= 0 the sum is exact."""
-    return hurwitz_sum(series_terms(ctx, s), precision)
+    """Numeric eta(s): the ``series_rows`` of the context summed by one
+    ``hurwitz_sum`` call.  Every fiber and head row is a signed pair
+    w (zeta(s, x) - zeta(s, 1 - x)), W- = -W+, so the kernel evaluates only
+    the odd Taylor centre values of the s keys; at an integer s <= 0 the
+    sum is exact."""
+    return hurwitz_sum(series_rows(ctx, s), precision)
 
 
 def _require_trivial_homology_sphere(ctx: EtaContext) -> None:

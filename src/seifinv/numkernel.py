@@ -14,9 +14,9 @@ explicit decimal-digit precision and a carried absolute error estimate):
                           rational, by one Euler-Maclaurin pass; exact at
                           integer s <= 0
     riemann_zeta(s)       zeta(s, 1)
-    hurwitz_sum(terms)    sum of w p^(-s) zeta(s, a) over a mapping
-                          (s, p, a) -> exact weight w: the one kernel
-                          every eta series is folded into
+    hurwitz_sum(series)   sum of W/Q p^(-s) zeta(s, a) over integer row
+                          sets (below): the one kernel every eta series
+                          is folded into
     BigFloat.within(x, tol)
                           |value - x| <= tol for an exact x, exactly
 
@@ -28,10 +28,11 @@ At an integer s = -n <= 0 both zeta operations are exact,
 
     zeta(-n, a) = -B_{n+1}(a) / (n + 1)
 
-with B_m the Bernoulli polynomials (zeta(0, a) = 1/2 - a and
-zeta(-1, a) = -1/12 + a(1 - a)/2 are the cases the exact pipeline
-consumes).  hurwitz_sum adds the keys of such s as Fractions; when every
-key is of this kind it returns the exact sum, rounded once.
+with B_m the Bernoulli polynomials.  hurwitz_sum sums the rows of such
+an s from the signed moments below, as B_m(1/2 + h) = sum C(m, j)
+B_(m-j)(1/2) h^j over j = m mod 2 (m = n + 1): at an odd n only the even
+moments enter, which vanish on signed pairs.  When every s is of this
+kind the exact sum is rounded once.
 
 Powers.  seifinv.fixedpoint.power(n, d, s, F) returns (n/d)^(-s) in
 units of 2^-F, with a count of units that bounds its error: the exact
@@ -39,30 +40,29 @@ integer sd-th root of the rational power for s = sn/sd with sd <= 8
 (within 1 unit), fixed-point log and exp with argument reduction for any
 other s, such as 0.37 or 1 + 10^-29 (within 2 or 3 counted units).
 
-Cost of hurwitz_sum.  Callers add the exact weights of equal keys first.
-For 0 < a <= 1 and h = a - 1/2, so that |h| / (5/2) <= 1/5,
+Cost of hurwitz_sum.  The keys of one (s, p) come as one row set
+(D, Q, {U: (W+, W-)}): weight W+/Q at a = 1/2 + U/D and W-/Q at
+a = 1/2 - U/D.  For 0 < a <= 1, |h| / (5/2) <= 1/5 with h = a - 1/2, and
 
     zeta(s, a) = a^(-s) + (1 + a)^(-s)
                  + sum_{j>=0} (-1)^j (s)_j / j! zeta(s + j, 5/2) h^j,
 
 the Taylor expansion about a fixed centre (after Johansson, Rigorous
 high-precision computation of the Hurwitz zeta function and its
-derivatives, Numer. Algorithms 2015).  The keys of one s fold into the
-moments M_j = sum w p^(-s) h^j, so each centre value zeta(s + j, 5/2) is
-evaluated once for all keys.  The expansion stops at a J set by s and the
-precision alone, so the number of Hurwitz evaluations does not grow with
-the number of keys (with alpha, for an eta series).  The keys are paired by
-|h|: a signed pair w zeta(s, x) - w zeta(s, 1 - x), of which every eta
-series at s is made, has h and -h, so its even moments vanish exactly and
-their centre values are never evaluated.  The moments are exact integer
-power sums over a common denominator, the coefficients (s)_j / j! exact
+derivatives, Numer. Algorithms 2015).  The rows of one s fold into the
+integer moments sum (W+ + (-1)^j W-) U^j, so each centre value
+zeta(s + j, 5/2) is evaluated once for all keys.  The expansion stops at a
+J set by s and the precision alone, so the number of Hurwitz evaluations
+does not grow with the number of keys (with alpha, for an eta series).  A
+signed pair w zeta(s, x) - w zeta(s, 1 - x), of which every eta series at s
+is made, is a row with W- = -W+: its even moments vanish exactly and their
+centre values are never evaluated.  The coefficients (s)_j / j! are exact
 rationals; the powers a^(-s), (1 + a)^(-s) (two per key) and p^(-s) are
-the fixed-point ones above.  All the centre values of a group come from
-one Euler-Maclaurin pass (below).  One hurwitz_zeta call per distinct a is
-made instead for a group whose keys are at most 1/8 of the centre values
-it would need (such as the one or two s - 1 keys of an eta series), for
-keys with a > 1, and for s within 1/100 of an integer <= 1, where some
-s + j meets or grazes the pole.
+the fixed-point ones above.  All the centre values of an s come from one
+Euler-Maclaurin pass (below).  One hurwitz_zeta call per distinct a is
+made instead where those are at most 1/8 of the centre values they would
+need (such as the one or two s - 1 keys of an eta series), and for s
+within 1/100 of an integer <= 1, where some s + j meets or grazes the pole.
 
 Euler-Maclaurin pass.  Every non-exact Hurwitz value, the centre values
 and the per-key values alike, comes from _em_shifts, which returns
@@ -118,11 +118,10 @@ checks the eps of whole eta series against a term-by-term reference.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, inf, lcm, log2, log10, pi
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple, Union
+from math import ceil, comb, gcd, inf, log2, log10, pi
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from seifinv.fixedpoint import (
     DyadicSum,
@@ -327,11 +326,31 @@ def _bernoulli_numbers(m: int) -> Tuple[Fraction, ...]:
     return tuple(b[: m + 1])
 
 
-def _zeta_nonpositive(n: int, a: Fraction) -> Fraction:
-    """zeta(-n, a) = -B_{n+1}(a) / (n + 1), exactly, for an integer n >= 0."""
+def _moments(
+    rows: List[Tuple[int, int, int]], orders: List[int], step: int
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """signed[j] = sum (W+ + (-1)^j W-) U^j and magnitude[j] =
+    sum (|W+| + |W-|) U^j over rows (U, W+, W-), for j in orders (spaced by step)."""
+    signed, magnitude = dict.fromkeys(orders, 0), dict.fromkeys(orders, 0)
+    for U, wp, wm in rows:
+        e, o, m = wp + wm, wp - wm, abs(wp) + abs(wm)
+        x, U_step = U ** orders[0], U**step
+        for j in orders:
+            signed[j] += (o if j % 2 else e) * x
+            magnitude[j] += m * x
+            x *= U_step
+    return signed, magnitude
+
+
+def _exact_sum(n: int, p: int, D: int, Q: int, rows: List[Tuple[int, int, int]]) -> Fraction:
+    """sum W/Q p^n zeta(-n, a) over the keys a = 1/2 +- U/D of rows, exactly,
+    with m = n + 1 and B_k(1/2) = (2^(1-k) - 1) B_k (module docstring)."""
     m = n + 1
     b = _bernoulli_numbers(m)
-    return -sum(comb(m, k) * b[k] * a ** (m - k) for k in range(m + 1)) / m
+    signed, _ = _moments(rows, list(range(m % 2, m + 1, 2)), 2)
+    # C(m, k) B_k(1/2) signed[m - k] D^k over even k, all over D^m
+    total = sum(comb(m, k) * b[k] * (2 - 2**k) / 2**k * signed[m - k] * D**k for k in range(0, m + 1, 2))
+    return -(p**n) * total / (m * Q * D**m)
 
 
 #: Bits of the fixed point below the requested accuracy 2^-T of a value:
@@ -496,7 +515,9 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     if a <= 0:
         raise ValueError(f"hurwitz_zeta requires a > 0, got a = {a}")
     if _nonpositive_integer(s):
-        return bigfloat_from_rational(_zeta_nonpositive(-int(s), a), precision)
+        # a = 1/2 + (2 num - den) / (2 den) as a one-key row
+        row = [(2 * a.numerator - a.denominator, 1, 0)]
+        return bigfloat_from_rational(_exact_sum(-int(s), 1, 2 * a.denominator, 1, row), precision)
     if abs(Fraction(s) - 1) < Fraction(1, 10**precision):
         raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
     return _em_shifts(s, a, 1, precision)[0]
@@ -553,61 +574,63 @@ def _eps_units(z: BigFloat) -> int:
     return z._eman << shift if shift >= 0 else -(-z._eman >> -shift)
 
 
-def _per_key_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int, acc: DyadicSum) -> None:
-    """Add sum w p^-s zeta(s, a) over keys (p, a) -> w to acc, one
-    hurwitz_zeta call per distinct a.  Its error adds each value's eps and
-    p^-s's count against the value, weighted by |w|, and one unit of the
-    floor of each product."""
-    if not keys:
-        return
+#: One row set of hurwitz_sum, (D, Q, {U: (W+, W-)}): the keys
+#: a = 1/2 + U/D with weight W+/Q and a = 1/2 - U/D with weight W-/Q.
+Rows = Tuple[int, int, Mapping[int, Sequence[int]]]
+
+
+def _keys(D: int, rows: List[Tuple[int, int, int]]) -> Iterator[Tuple[int, int, int]]:
+    """(n, d, W) per key with a nonzero weight, a = n/d in lowest terms."""
+    d = 2 * D
+    for U, wp, wm in rows:
+        for n, w in ((D + 2 * U, wp), (D - 2 * U, wm)):
+            if w:
+                g = gcd(n, d)
+                yield n // g, d // g, w
+
+
+def _per_key_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, acc: DyadicSum) -> None:
+    """Add sum W/Q p^-s zeta(s, a) over the keys of the row sets p ->
+    (D, Q, rows) to acc, one hurwitz_zeta call per distinct a.  Its error
+    adds each value's eps and p^-s's count against the value, weighted by
+    |W/Q|, and one unit of the floor of each product."""
     s = Fraction(s)
-    values = {}
-    for _, a in keys:
-        if a not in values:
-            values[a] = hurwitz_zeta(s, a, precision)
+    keys = [(p, Q, n, d, W) for p, (D, Q, rows) in parts.items() for n, d, W in _keys(D, rows)]
+    values = {a: hurwitz_zeta(s, Fraction(*a), precision) for a in {key[2:4] for key in keys}}
     bits = max(z._man.bit_length() for z in values.values()) + 16
     scales = {}
-    for (p, a), w in keys.items():
+    for p, Q, n, d, W in keys:
         if p not in scales:
             # p^-s with 16 bits more than any value, so its count stays
             # below 2^-16 of the value's
             G = bits + max(0, ceil(float(s) * log2(p)))
             scales[p] = (G, *power(p, 1, s, G))
         G, c, ec = scales[p]
-        z = values[a]
-        num, den = w.numerator, w.denominator
-        err = abs(num) * (ec * abs(z._man) + (c + ec) * _eps_units(z))
-        acc.add((num * c * z._man) // den, 1 + ceil_shift(err, den, 0), z._exp - G)
+        z = values[n, d]
+        err = abs(W) * (ec * abs(z._man) + (c + ec) * _eps_units(z))
+        acc.add((W * c * z._man) // Q, 1 + ceil_shift(err, Q, 0), z._exp - G)
 
 
-def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int, acc: DyadicSum) -> None:
-    """Add sum w p^-s zeta(s, a) over the keys (p, a) -> w of one s to acc.
+def _group_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, acc: DyadicSum) -> None:
+    """Add the sum over the row sets p -> (D, Q, rows) of one s to acc.
 
-    Keys with 0 < a <= 1 go through the moment expansion (module docstring),
-    its centre values zeta(s + j, 5/2) from one _em_shifts pass, unless
-    they are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need;
-    the rest cost one hurwitz_zeta call each."""
-    # pair the keys of each p by |h|, h = a - 1/2: p -> {|h|: [w at +|h|, w at -|h|]}
-    pairs: Dict[int, Dict[Fraction, list]] = defaultdict(dict)
-    rest = {}
-    for (p, a), w in keys.items():
-        if a > 1:
-            rest[p, a] = w
-            continue
-        h = a - Fraction(1, 2)
-        pairs[p].setdefault(abs(h), [0, 0])[h < 0] += w
-    rows = [(u, wp, wm) for by_u in pairs.values() for u, (wp, wm) in by_u.items()]
-    even = any(wp + wm for _, wp, wm in rows)
-    odd = any(u and wp - wm for u, wp, wm in rows)
+    The keys go through the moment expansion (module docstring), its
+    centre values zeta(s + j, 5/2) from one _em_shifts pass, unless they
+    are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need; then
+    each distinct a costs one hurwitz_zeta call."""
     if _near_pole(s):
-        return _per_key_sum(s, keys, precision, acc)
+        return _per_key_sum(s, parts, precision, acc)
+    even = any(wp + wm for _, _, rows in parts.values() for _, wp, wm in rows)
+    odd = any(U and wp - wm for _, _, rows in parts.values() for U, wp, wm in rows)
     wd = precision + _GUARD_DIGITS
     J, log_tail = _taylor_length(s, wd)
     orders = [j for j in range(J) if (even, odd)[j % 2]]
-    if len({a for _, a in keys if a <= 1}) * _PASS_ORDERS_PER_KEY <= len(orders):
-        return _per_key_sum(s, keys, precision, acc)
+    # a row holds a distinct a of its p: only short rows need the count
+    limit = len(orders) // _PASS_ORDERS_PER_KEY
+    if all(len(rows) <= limit for *_, rows in parts.values()):
+        if len({key[:2] for D, _, rows in parts.values() for key in _keys(D, rows)}) <= limit:
+            return _per_key_sum(s, parts, precision, acc)
 
-    _per_key_sum(s, rest, precision, acc)
     s = Fraction(s)
     sn, sd = s.numerator, s.denominator
     # the bracket of each p is summed in units of 2^-G, the centre's F
@@ -621,31 +644,16 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
     # the tail past J, 2 10^log_tail per unit of weight, in units of 2^-G:
     # tn / td exactly, so that it scales a weight sum of any size
     tn, td = (2.0 ** (log_tail * _LOG2_10 + G + 1)).as_integer_ratio()
-    for p, by_u in pairs.items():
-        # exact integer moments over the common denominators D of h and Q of w
-        D = lcm(*(u.denominator for u in by_u))
-        Q = lcm(*(Fraction(w).denominator for ws in by_u.values() for w in ws))
-        signed, magnitude = dict.fromkeys(orders, 0), dict.fromkeys(orders, 0)
-        weight0 = 0
-        for u, (wp, wm) in by_u.items():
-            U = int(u * D)
-            e, o, m = int((wp + wm) * Q), int((wp - wm) * Q), int((abs(wp) + abs(wm)) * Q)
-            weight0 += m
-            x, U_step = U ** orders[0], U**step
-            for j in orders:
-                signed[j] += (o if j % 2 else e) * x
-                magnitude[j] += m * x
-                x *= U_step
+    for p, (D, Q, rows) in parts.items():
+        # exact integer moments of h = +-U/D, weights over Q
+        signed, magnitude = _moments(rows, orders, step)
+        weight0 = sum(abs(wp) + abs(wm) for _, wp, wm in rows)
         part, err = 0, -(-tn * weight0 // td) + 1
-        for u, (wp, wm) in by_u.items():
-            for a, w in ((Fraction(1, 2) + u, wp), (Fraction(1, 2) - u, wm)):
-                if w:
-                    n, d = a.numerator, a.denominator
-                    h0, e0 = power(n, d, s, G)
-                    h1, e1 = power(n + d, d, s, G)
-                    W = int(w * Q)
-                    part += W * (h0 + h1)
-                    err += abs(W) * (e0 + e1)
+        for n, d, W in _keys(D, rows):
+            h0, e0 = power(n, d, s, G)
+            h1, e1 = power(n + d, d, s, G)
+            part += W * (h0 + h1)
+            err += abs(W) * (e0 + e1)
         for j in orders:
             z, den = centre[j], cd[j] * D**j
             part += floor_shift(cn[j] * signed[j] * z._man, den, z._exp + G)
@@ -658,41 +666,37 @@ def _group_sum(s, keys: Mapping[Tuple[int, Fraction], Fraction], precision: int,
         acc.add(part * c, abs(part) * ec + (c + ec) * err, -(G + Gs))
 
 
-def hurwitz_sum(
-    terms: Mapping[Tuple[Rational, int, Rational], Rational], precision: int = 30
-) -> BigFloat:
-    """sum of w p^(-s) zeta(s, a) over the terms (s, p, a) -> w, with
-    exact rational weights w.
+def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 30) -> BigFloat:
+    """sum of W/Q p^(-s) zeta(s, a) over the row sets s -> p -> (D, Q, rows)
+    (``Rows``), every key a in (0, 1] (ValueError otherwise); zero weights
+    are skipped.
 
-    Zero weights are skipped.  The keys of an integer s <= 0 are summed
-    exactly.  The keys of any other s share the centre values
-    zeta(s + j, 5/2), j < J, of the moment expansion, J set by s and the
-    precision alone, all from one Euler-Maclaurin pass: the work does not
-    grow with the number of keys.  Where the keys of an s are at most 1/8
-    of the orders they would need, each costs one hurwitz_zeta call
-    instead.
-
-    The value is an exact dyadic sum of fixed-point products.  eps sums
-    their counted roundings, the centre values' own eps, the explicit
-    truncation tail, and the per-value eps of keys evaluated one by one
-    (module docstring).
+    The rows of an integer s <= 0 are summed exactly.  Those of any other
+    s share the centre values of one Euler-Maclaurin pass, unless their
+    distinct a are few or s is near a pole: then each costs one
+    hurwitz_zeta call.  The value is an exact dyadic sum of fixed-point
+    products; eps sums their counted roundings, the centre values' own
+    eps, the explicit truncation tail, and the per-value eps of keys
+    evaluated one by one (module docstring).
     """
-    groups: Dict[object, Dict[Tuple[int, Fraction], Fraction]] = {}
-    for (s, p, a), w in terms.items():
-        if w == 0:
-            continue
-        a = Fraction(a)
-        if a <= 0:
-            raise ValueError(f"hurwitz_sum requires a > 0, got a = {a}")
-        groups.setdefault(s, {})[p, a] = Fraction(w)
+    groups: Dict[object, Dict[int, Tuple[int, int, list]]] = {}
+    for s, parts in series.items():
+        for p, (D, Q, rows) in parts.items():
+            # the weights over the least common denominator of the W/Q
+            g = gcd(Q, *(w for ws in rows.values() for w in ws))
+            kept = [(U, wp // g, wm // g) for U, (wp, wm) in rows.items() if wp or wm]
+            for U, _, wm in kept:
+                if U < 0 or 2 * U > D or (2 * U == D and wm):
+                    raise ValueError(f"hurwitz_sum requires 0 < a <= 1, got a = 1/2 +- {U}/{D}")
+            if kept:
+                groups.setdefault(s, {})[p] = (D, Q // g, kept)
     exact = Fraction(0)
     for s in [s for s in groups if _nonpositive_integer(s)]:
-        n = -int(s)
-        exact += sum(w * p**n * _zeta_nonpositive(n, a) for (p, a), w in groups.pop(s).items())
+        exact += sum(_exact_sum(-int(s), p, *part) for p, part in groups.pop(s).items())
     if not groups:
         return bigfloat_from_rational(exact, precision)
     acc = DyadicSum()
-    for s, keys in groups.items():
-        _group_sum(s, keys, precision, acc)
+    for s, parts in groups.items():
+        _group_sum(s, parts, precision, acc)
     acc.add_rational(exact)
     return BigFloat._make(acc.man, acc.exp, precision, acc.err, acc.exp)

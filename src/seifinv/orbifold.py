@@ -38,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
-from seifinv.numkernel import InvariantError, frac
+from seifinv.numkernel import InvariantError
 
 
 class Orbifold(namedtuple("Orbifold", "genus alphas")):
@@ -133,18 +133,6 @@ def subtract_bundles(L1: VLineBundle, L2: VLineBundle) -> VLineBundle:
 def rrk_index(L: VLineBundle) -> int:
     """Index h0(L) - h0(K - L) = 1 - g + deg|L|."""
     return 1 - L.base.genus + L.smooth_degree
-
-
-def holonomy_theta(L: VLineBundle, L0: VLineBundle) -> Fraction:
-    """Fiber holonomy class {deg L / deg L0} in [0, 1); requires deg L0 != 0.
-
-    For deg L0 = 0 the fiber holonomy of a flat connection is not
-    determined by the topology, so no canonical value exists.
-    """
-    ell = rational_degree(L0)
-    if ell == 0:
-        raise ValueError("holonomy_theta requires deg L0 != 0")
-    return frac(rational_degree(L) / ell)
 
 
 def holonomy_rho(L: VLineBundle, L0: VLineBundle) -> Fraction:

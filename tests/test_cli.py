@@ -102,6 +102,20 @@ def test_eta_series_golden_at_negative_s(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, value",
+    [
+        (("--at=1/2", "--digits", "20"), "2.1173413008190310637@20"),
+        (("--gammas", "1,2,0", "--at=-7/4", "--digits", "25"), "0.05858624119082855290242163@25"),
+    ],
+)
+def test_eta_series_golden_with_equal_order_fibers(capsys, extra, value):
+    # two fibers of order 4: their terms share the keys of p = 4
+    code, out = run(capsys, "eta", "--seifert", "0:-1:4/1,4/3,3/1", *extra)
+    assert code == 0
+    assert json.loads(out)["eta_at"]["value"] == value
+
+
+@pytest.mark.parametrize(
     "at, value",
     [
         # eta(-n) is a finite sum of Bernoulli polynomial values: exact,
@@ -373,7 +387,7 @@ def test_oversized_plumbing_exit_2():
 
 
 def test_oversized_eta_series_exit_2():
-    # Sigma(2,3,10^7+1): the series would need about 9 GB, so --at must be
+    # Sigma(2,3,10^7+1): the series would need about 2 GB, so --at must be
     # refused before any term is built; Sigma(2,3,100003), the size the
     # series is measured at, stays accepted
     proc = _python(

@@ -26,7 +26,7 @@ from seifinv.eta import (
     pullback_context,
     rohlin_check,
     serre_dual_coupling,
-    series_terms,
+    series_rows,
     trivial_flat_context,
 )
 from seifinv.numkernel import InvariantError, frac
@@ -38,7 +38,7 @@ from seifinv.orbifold import (
     trivial_bundle,
 )
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
-from tests.test_numkernel import _count_centre_passes, _count_hurwitz_calls
+from tests.test_numkernel import _count_centre_passes, _count_hurwitz_calls, term_rows
 
 
 def _exact_mpf(x: Fraction):
@@ -254,6 +254,50 @@ def _series_terms(ctx, s):
     return terms + [(s - 1, 1, rho, -N.ell), (s - 1, 1, 1 - rho, -N.ell)]
 
 
+def _canonical(series):
+    """Row sets with the zero weights and empty rows dropped, D and Q
+    divided by the gcd of D with every U and of Q with every weight."""
+    out = {}
+    for s, parts in series.items():
+        for p, (D, Q, rows) in parts.items():
+            rows = {U: tuple(ws) for U, ws in rows.items() if any(ws)}
+            if rows:
+                g, q = gcd(D, *rows), gcd(Q, *(w for ws in rows.values() for w in ws))
+                rows = {U // g: tuple(w // q for w in ws) for U, ws in rows.items()}
+                out.setdefault(s, {})[p] = (D // g, Q // q, rows)
+    return out
+
+
+def _merged(ctx, s):
+    """_series_terms with the weights of equal keys added."""
+    merged = defaultdict(Fraction)
+    for s1, p, a, w in _series_terms(ctx, s):
+        merged[s1, p, a] += w
+    return merged
+
+
+def test_series_rows_match_merged_term_oracle():
+    # rho = 0, rho = 1/2, general rho, equal alphas, genus > 0
+    base = SeifertData(Orbifold(0, (4, 4, 3)), (1, 3, 1), -1)
+    repeated = VLineBundle(base.base, 0, (1, 2, 0))
+    torus = SeifertData(Orbifold(1, (7, 7, 4)), (2, 5, 1), -2)
+    contexts = [
+        trivial_flat_context(brieskorn(3, 5, 7)),
+        trivial_flat_context(brieskorn(2, 5, 9)),
+        pullback_context(brieskorn(2, 5, 9), VLineBundle(brieskorn(2, 5, 9).base, 1, (1, 3, 4))),
+        trivial_flat_context(base),
+        flat_context(base, repeated),
+        pullback_context(base, repeated),
+        trivial_flat_context(torus),
+        pullback_context(torus, VLineBundle(torus.base, 0, (3, 3, 1))),
+    ]
+    rhos = {ctx.rho for ctx in contexts}
+    assert {0, Fraction(1, 2)} < rhos and len(rhos) > 3
+    for ctx in contexts:
+        for s in (Fraction(-2), Fraction(1, 3)):
+            assert _canonical(series_rows(ctx, s)) == _canonical(term_rows(_merged(ctx, s))), (ctx, s)
+
+
 def _series_oracle(ctx, s, digits):
     """Term-by-term eta(s), each zeta(s', a) by mpmath's rational-a route
     mp.zeta(s', (p, q)) at 2 digits + 20."""
@@ -389,7 +433,8 @@ def test_series_near_nonpositive_integer_goes_per_key(monkeypatch):
     # would graze the pole of zeta at 1: such an s costs one call per key
     ctx = trivial_flat_context(brieskorn(2, 3, 101))
     s = Fraction(1, 10**20) - 3
-    keys = sum(1 for w in series_terms(ctx, s).values() if w)
+    rows = [r for parts in series_rows(ctx, s).values() for *_, r in parts.values()]
+    keys = sum(1 for r in rows for ws in r.values() for w in ws if w)
     calls = _count_hurwitz_calls(monkeypatch)
     got = eta_series(ctx, s, 20)
     assert len(calls) == len(set(calls)) == keys

@@ -205,22 +205,41 @@ def test_riemann_values():
 # pairs w zeta(s, x) - w zeta(s, 1 - x).  Both are hurwitz_sum terms.
 
 
+def term_rows(terms):
+    """The row sets of hurwitz_sum for a term map (s, p, a) -> w: the key
+    a = 1/2 + h becomes the row |h| D of its (s, p), its weight w Q the
+    entry of the sign of h, with D and Q the least common denominators of
+    the |h| and the w of that (s, p)."""
+    groups = defaultdict(list)
+    for (s, p, a), w in terms.items():
+        groups[s, p].append((Fraction(a) - Fraction(1, 2), Fraction(w)))
+    series = defaultdict(dict)
+    for (s, p), keys in groups.items():
+        D = math.lcm(*(h.denominator for h, _ in keys))
+        Q = math.lcm(*(w.denominator for _, w in keys))
+        rows = {}
+        for h, w in keys:
+            rows.setdefault(int(abs(h) * D), [0, 0])[h < 0] += int(w * Q)
+        series[s][p] = (D, Q, rows)
+    return series
+
+
 def test_periodic_split_identity_case():
-    got = hurwitz_sum({(2, 1, 1): 1}, 30)
+    got = hurwitz_sum(term_rows({(2, 1, 1): 1}), 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 6) < mp.mpf(10) ** -27
 
 
 def test_periodic_split_odd_n_only():
     # sum over odd n of 1/n^2 = (1 - 1/4) zeta(2) = pi^2/8
-    got = hurwitz_sum({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): 0}, 30)
+    got = hurwitz_sum(term_rows({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): 0}), 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 8) < mp.mpf(10) ** -27
 
 
 def test_periodic_split_alternating():
     # sum (-1)^(n+1)/n^2 = pi^2/12
-    got = hurwitz_sum({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): -1}, 30)
+    got = hurwitz_sum(term_rows({(2, 2, Fraction(1, 2)): 1, (2, 2, 1): -1}), 30)
     with mp.workdps(45):
         assert abs(got.value - mp.pi**2 / 12) < mp.mpf(10) ** -27
 
@@ -228,7 +247,7 @@ def test_periodic_split_alternating():
 def test_periodic_split_matches_partial_sum_at_s3():
     rng = random.Random(17)
     table = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(5)]
-    got = hurwitz_sum({(3, 5, Fraction(r, 5)): f for r, f in enumerate(table, start=1)}, 30)
+    got = hurwitz_sum(term_rows({(3, 5, Fraction(r, 5)): f for r, f in enumerate(table, start=1)}), 30)
     n_terms = 10**6
     vals = [float(t) for t in table]
     partial = math.fsum(vals[(n - 1) % 5] / n**3 for n in range(1, n_terms + 1))
@@ -269,19 +288,19 @@ def _mpf(x):
 
 
 def test_hurwitz_sum_moments_against_per_key_reference(monkeypatch):
-    # non-antisymmetric weights need the even centre values too; keys with
-    # a > 1 and an integer s <= 0 ride along by their own routes
+    # non-antisymmetric weights need the even centre values too; keys of an
+    # integer s <= 0 ride along by the exact route
     rng = random.Random(29)
     for s, digits in ((Fraction(7, 3), 20), (Fraction(-5, 4), 15)):
         terms = defaultdict(Fraction)
         for _ in range(200):
             q = rng.randint(1, 20)
-            a = Fraction(rng.randint(1, q), q) + (rng.random() < 0.05)
+            a = Fraction(rng.randint(1, q), q)
             terms[s, rng.choice((1, 3, 7)), a] += Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         terms[-2, 5, Fraction(1, 3)] += Fraction(3, 4)
         calls = _count_hurwitz_calls(monkeypatch)
         passes = _count_centre_passes(monkeypatch)
-        got = hurwitz_sum(terms, digits)
+        got = hurwitz_sum(term_rows(terms), digits)
         assert any(s + 2 in centre for centre in passes)  # an even order, past zeta(s, 5/2)
         assert len(calls) == len(set(calls)) < len({a for (_, _, a), w in terms.items() if w})
         # the reference: each distinct zeta(s', a) by mpmath at 2 digits + 20
@@ -298,7 +317,7 @@ def test_hurwitz_sum_moments_with_weights_beyond_float_range(monkeypatch):
     terms = {(s, 3, Fraction(k, 29)): Fraction(2**1100 + k, 2**1100) for k in range(1, 29)}
     calls = _count_hurwitz_calls(monkeypatch)
     passes = _count_centre_passes(monkeypatch)
-    got = hurwitz_sum(terms, 30)
+    got = hurwitz_sum(term_rows(terms), 30)
     assert passes and not calls
     with mp.workdps(60):
         ref = sum(_mpf(w) * mp.mpf(3) ** -0.5 * mp.zeta(0.5, _mpf(a)) for (_, _, a), w in terms.items())
@@ -307,7 +326,7 @@ def test_hurwitz_sum_moments_with_weights_beyond_float_range(monkeypatch):
 
 def test_signed_split_zero_function(monkeypatch):
     calls = _count_hurwitz_calls(monkeypatch)
-    got = hurwitz_sum({(2, 3, Fraction(k + 1, 9)): 0 for k in range(3)}, 30)
+    got = hurwitz_sum(term_rows({(2, 3, Fraction(k + 1, 9)): 0 for k in range(3)}), 30)
     assert (got.value, got.eps, calls) == (0, 0, [])
 
 
@@ -319,21 +338,32 @@ def test_signed_split_half_symmetry(monkeypatch):
     terms = defaultdict(Fraction)
     terms[0, 1, rho] += 1
     terms[0, 1, 1 - rho] -= 1
-    got = hurwitz_sum(terms, 30)
+    got = hurwitz_sum(term_rows(terms), 30)
     assert (got.value, got.eps, calls) == (0, 0, [])
 
 
 def test_signed_split_quarter():
     # zeta(0, rho) - zeta(0, 1 - rho) = 1 - 2 rho
-    got = hurwitz_sum({(0, 1, Fraction(1, 4)): 1, (0, 1, Fraction(3, 4)): -1}, 30)
+    got = hurwitz_sum(term_rows({(0, 1, Fraction(1, 4)): 1, (0, 1, Fraction(3, 4)): -1}), 30)
     assert abs(float(got.value) - 0.5) < 1e-28
 
 
 def test_signed_split_rejects_bad_rho():
-    # a signed pair at rho outside (0, 1) puts a term at a <= 0
+    # a signed pair at rho outside (0, 1) puts a term outside (0, 1]
     for rho in (Fraction(3, 2), Fraction(0)):
-        with pytest.raises(ValueError, match="requires a > 0"):
-            hurwitz_sum({(2, 1, rho): 1, (2, 1, 1 - rho): -1}, 30)
+        with pytest.raises(ValueError, match="requires 0 < a <= 1"):
+            hurwitz_sum(term_rows({(2, 1, rho): 1, (2, 1, 1 - rho): -1}), 30)
+
+
+def test_rows_outside_unit_interval_raise():
+    # 2U < D, or 2U = D with no weight at a = 0; a row with no weight is no key
+    at_one = hurwitz_sum({2: {1: (2, 1, {1: [1, 0], 3: [0, 0]})}}, 30)
+    assert at_one == hurwitz_sum(term_rows({(2, 1, 1): 1}), 30)
+    for U, ws in ((1, [0, 1]), (1, [1, 1]), (3, [1, 0]), (3, [0, -1]), (-1, [1, 0])):
+        with pytest.raises(ValueError, match="requires 0 < a <= 1"):
+            hurwitz_sum({2: {1: (2, 1, {U: ws})}}, 30)
+        with pytest.raises(ValueError, match="requires 0 < a <= 1"):
+            hurwitz_sum({-2: {1: (2, 1, {U: ws})}}, 30)
 
 
 def test_doubling_precision_keeps_leading_digits():
@@ -529,10 +559,10 @@ def test_hurwitz_sum_is_thread_safe():
         (Fraction(1, 2), 3, Fraction(2, 3)): -1,
         (Fraction(-3, 4), 5, Fraction(2, 5)): Fraction(1, 2),
         (Fraction(-3, 4), 5, Fraction(3, 5)): Fraction(-1, 2),
-        (Fraction(7, 3), 1, Fraction(3, 2)): 2,
+        (Fraction(7, 3), 1, Fraction(3, 4)): 2,
     }
     precisions = (20, 30, 40)
-    serial = {d: hurwitz_sum(terms, d) for d in precisions}
+    serial = {d: hurwitz_sum(term_rows(terms), d) for d in precisions}
     want = {d: (str(v), v.eps) for d, v in serial.items()}
     barrier = threading.Barrier(4)
     seen = []
@@ -541,7 +571,7 @@ def test_hurwitz_sum_is_thread_safe():
         barrier.wait()
         for _ in range(3):
             for d in precisions:
-                v = hurwitz_sum(terms, d)
+                v = hurwitz_sum(term_rows(terms), d)
                 seen.append((d, str(v), v.eps))
 
     threads = [threading.Thread(target=work) for _ in range(4)]

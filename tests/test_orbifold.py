@@ -14,7 +14,6 @@ from seifinv.orbifold import (
     canonical_representative,
     euler_characteristic,
     holonomy_rho,
-    holonomy_theta,
     rational_degree,
     rrk_index,
     scale_bundle,
@@ -81,26 +80,10 @@ def test_rrk_index():
     assert rrk_index(VLineBundle(Orbifold(0, (3, 5, 7)), 0, (0, 0, 1))) == 1
 
 
-def test_holonomy_theta():
-    from seifinv.numkernel import frac
-
-    N = brieskorn(2, 3, 5)
-    L0 = defining_bundle(N)
-    assert holonomy_theta(trivial_bundle(N.base), L0) == 0
-    assert holonomy_theta(L0, L0) == 0  # c = ell gives {1} = 0
-    # formula value at c = 1/60 against ell = -1/30 (no bundle of that
-    # degree exists over this base, where degrees lie in (1/30) Z)
-    assert frac(Fraction(1, 60) / Fraction(-1, 30)) == Fraction(1, 2)
-    # realizable half-holonomy: ell = -2 over a torus, c = 1
+def test_holonomy_rho_rejects_degree_zero():
     base = Orbifold(1, ())
-    L0t = VLineBundle(base, -2, ())
-    assert holonomy_theta(VLineBundle(base, 1, ()), L0t) == Fraction(1, 2)
-
-
-def test_holonomy_theta_rejects_degree_zero():
-    base = Orbifold(1, ())
-    with pytest.raises(ValueError):
-        holonomy_theta(trivial_bundle(base), trivial_bundle(base))
+    with pytest.raises(ValueError, match="deg L0 != 0"):
+        holonomy_rho(trivial_bundle(base), trivial_bundle(base))
 
 
 def test_canonical_representative_poincare():
