@@ -61,8 +61,11 @@ rationals; the powers a^(-s), (1 + a)^(-s) (two per key) and p^(-s) are
 the fixed-point ones above.  All the centre values of an s come from one
 Euler-Maclaurin pass (below).  One hurwitz_zeta call per distinct a is
 made instead where those are at most 1/8 of the centre values they would
-need (such as the one or two s - 1 keys of an eta series), and for s
-within 1/100 of an integer <= 1, where some s + j meets or grazes the pole.
+need (such as the one or two s - 1 keys of an eta series), unless the
+weights of some p sum to zero: its zeroth moment cancels the residues of
+zeta(s, a) at s = 1 exactly, which per-key values each carry, so an eta
+series is summed at s = 1 too.  Where s + j meets the pole near an integer
+s <= 0, (s)_j has the factor s + j - 1, and their product stays finite.
 
 Euler-Maclaurin pass.  Every non-exact Hurwitz value, the centre values
 and the per-key values alike, comes from _em_shifts, which returns
@@ -102,7 +105,8 @@ point 2^-G with G = F of the centre pass,
     |(s)_j / j!| zb(s + j) 2^-j sum |w| with
     zb(x) = (5/2)^-x (1 + (5/2)/(x - 1)) >= zeta(x, 5/2), and the terms
     shrink by about 1/5 per step once j > |s|;
-  - for keys evaluated one by one, |w p^-s| times each value's eps;
+  - or, for keys evaluated one by one, per key |w| times the value's eps
+    and one unit for the floor of the product;
 
 and each total over one p is scaled by p^-s / Q at a precision whose own
 rounding stays below 2^-15 of that total's.  These are counts of integer
@@ -113,7 +117,8 @@ seeded corpus of bases, exponents and fixed points, every shift of the
 pass and the per-value eps against mpmath's independent rational-a route
 at 2p+20 digits, over a seeded corpus of s in [-25, 25] and a in (0, 2],
 and the moments of hurwitz_sum against per-key values; tests/test_eta.py
-checks the eps of whole eta series against a term-by-term reference.
+checks the eps of whole eta series against a term-by-term reference,
+also at and near s = 1 and the integers s <= 0.
 """
 
 from __future__ import annotations
@@ -461,18 +466,20 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
     dens = [(q * k + p) ** step for k in range(N)]
     qs, xs = q**step, xn**step
     X2 = sd * sd * xn * xn
-    g_scale = q * q / X2 / (2 * pi) ** 2
     out = []
     # per-unit rounding counts: each power starts within e0 units, and a
     # shift by q / (qk + p) adds one; only k = 0 with a < 1 grows them
     small = a < 1
-    for i, (sigma, (Mi, bound)) in enumerate(zip(sigmas, plan)):
+    for i, (Mi, bound) in enumerate(plan):
         u = step * i
         su = sn + u * sd  # sigma = su / sd
         e_X = e0 + i
         count = (N - small) * e_X + (small and e_X * 2.0 ** (-u * _log2(a)))
         total = sum(powers) + (tX >> 1) + tX * xn * sd // (q * (su - sd))
-        count += e_X / 2 + 1 + e_X * (xn / q) / abs(sigma - 1) + 1
+        count += e_X / 2 + 2
+        # the pole term's e_X X / |sigma - 1| in integers: sigma may lie
+        # within float range of 1
+        pole = -(-e_X * xn * sd // (q * abs(su - sd)))
         # r_m = (sigma)_(2m-1) X^(1 - sigma - 2m); w bounds its rounding
         # error over (2 pi)^2m, and |B_2m / (2m)!| <= 3.3 (2 pi)^-2m
         r = tX * su * q // (sd * xn)
@@ -486,12 +493,12 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
             count += 3.3 * w + 1
             A = (su + (2 * m - 1) * sd) * (su + 2 * m * sd)
             r = r * A * q * q // X2
-            w = w * abs(A) * g_scale + (2 * pi) ** (-2 * m - 2)
+            w = w * (abs(A) * q * q / X2) / (2 * pi) ** 2 + (2 * pi) ** (-2 * m - 2)
         # the coefficients' own rounding, a relative 2^(1-Pc) per term
         count += (size >> (Pc - 1)) + Mi
         # the remainder bound 2^bound, in units of 2^-F rounded up
         remainder = 1 << max(ceil(bound + 1e-6) + F, 0)
-        out.append(BigFloat._make(total, -F, precision, ceil(count) + remainder, -F))
+        out.append(BigFloat._make(total, -F, precision, ceil(count) + pole + remainder, -F))
         if i + 1 < J:
             powers = [t * qs // d for t, d in zip(powers, dens)]
             tX = tX * qs // xs
@@ -533,9 +540,11 @@ def riemann_zeta(s, precision: int = 30) -> BigFloat:
 _CENTRE = Fraction(5, 2)
 
 #: One Euler-Maclaurin pass for the centre values of a group costs about as
-#: much as one per-key value for every _PASS_ORDERS_PER_KEY orders it
-#: carries: measured crossovers lie at 6-8 keys for 15-100 digits, where the
-#: groups carry 20-80 orders.
+#: much as one per-key value for every 4-6 orders it carries: on keys
+#: k/(n + 1) with weights (-1)^k / k at s = -3/4 and 1/2, 15-40 digits and
+#: 39-77 orders (best of 5, in process, 2 CPUs), the two routes cost the
+#: same at 10-15 keys.  So 8 takes the moments up to 1.55x early, by about
+#: 0.5 ms.
 _PASS_ORDERS_PER_KEY = 8
 
 
@@ -547,25 +556,21 @@ def _taylor_length(s, digits: int) -> Tuple[int, float]:
     >= zeta(x, 5/2) for x > 1, and |h| <= 1/2.  Once s + j >= 2 and
     s + j <= (5/2)(j + 1), t_{j+1} / t_j <= (1/5)(s + j)/(j + 1) <= 1/2 for
     every later j, so the tail from J on is at most 2 t_J.  J depends on s
-    and digits only."""
-    s = float(s)
+    and digits only.  s + j = xn / sd is taken in integers, so that an
+    s + j within float range of 0 still counts."""
+    s = Fraction(s)
+    sn, sd = s.numerator, s.denominator
     log_c = 0.0  # log10 |(s)_j / j!|
     j = 0
     while True:
-        x = s + j
-        if x >= 2 and x <= 2.5 * (j + 1):
+        xn = sn + j * sd
+        if 2 * sd <= xn and 2 * xn <= 5 * (j + 1) * sd:
+            x = xn / sd
             log_t = log_c + log10(1 + 2.5 / (x - 1)) - x * log10(2.5) - j * log10(2)
             if log_t <= -digits:
                 return j, log_t
-        log_c += log10(abs(x) / (j + 1))
+        log_c += log10(abs(xn)) - log10(sd * (j + 1))
         j += 1
-
-
-def _near_pole(s) -> bool:
-    """s within 1/100 of an integer n <= 1: some s + j of the expansion
-    would meet or graze the pole of zeta at 1."""
-    n = round(s)
-    return n <= 1 and abs(s - n) < Fraction(1, 100)
 
 
 def _eps_units(z: BigFloat) -> int:
@@ -589,81 +594,68 @@ def _keys(D: int, rows: List[Tuple[int, int, int]]) -> Iterator[Tuple[int, int, 
                 yield n // g, d // g, w
 
 
-def _per_key_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, acc: DyadicSum) -> None:
-    """Add sum W/Q p^-s zeta(s, a) over the keys of the row sets p ->
-    (D, Q, rows) to acc, one hurwitz_zeta call per distinct a.  Its error
-    adds each value's eps and p^-s's count against the value, weighted by
-    |W/Q|, and one unit of the floor of each product."""
-    s = Fraction(s)
-    keys = [(p, Q, n, d, W) for p, (D, Q, rows) in parts.items() for n, d, W in _keys(D, rows)]
-    values = {a: hurwitz_zeta(s, Fraction(*a), precision) for a in {key[2:4] for key in keys}}
-    bits = max(z._man.bit_length() for z in values.values()) + 16
-    scales = {}
-    for p, Q, n, d, W in keys:
-        if p not in scales:
-            # p^-s with 16 bits more than any value, so its count stays
-            # below 2^-16 of the value's
-            G = bits + max(0, ceil(float(s) * log2(p)))
-            scales[p] = (G, *power(p, 1, s, G))
-        G, c, ec = scales[p]
-        z = values[n, d]
-        err = abs(W) * (ec * abs(z._man) + (c + ec) * _eps_units(z))
-        acc.add((W * c * z._man) // Q, 1 + ceil_shift(err, Q, 0), z._exp - G)
-
-
 def _group_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, acc: DyadicSum) -> None:
     """Add the sum over the row sets p -> (D, Q, rows) of one s to acc.
 
-    The keys go through the moment expansion (module docstring), its
-    centre values zeta(s + j, 5/2) from one _em_shifts pass, unless they
-    are at most 1/_PASS_ORDERS_PER_KEY of the orders it would need; then
-    each distinct a costs one hurwitz_zeta call."""
-    if _near_pole(s):
-        return _per_key_sum(s, parts, precision, acc)
+    Each p is one bracket in units of 2^-G, G the F of the centre pass,
+    scaled by p^-s / Q.  The bracket sums the moment expansion (module
+    docstring), its centre values zeta(s + j, 5/2) from one _em_shifts
+    pass, unless the distinct a are at most 1/_PASS_ORDERS_PER_KEY of the
+    orders it would need and the weights of no p sum to zero; then it sums
+    one hurwitz_zeta value per distinct a, each product floored into the
+    bracket."""
+    s = Fraction(s)
     even = any(wp + wm for _, _, rows in parts.values() for _, wp, wm in rows)
     odd = any(U and wp - wm for _, _, rows in parts.values() for U, wp, wm in rows)
     wd = precision + _GUARD_DIGITS
     J, log_tail = _taylor_length(s, wd)
     orders = [j for j in range(J) if (even, odd)[j % 2]]
-    # a row holds a distinct a of its p: only short rows need the count
+    # a row holds a distinct a of its p: only short rows need the count;
+    # a p whose weights sum to zero takes the moments (module docstring)
     limit = len(orders) // _PASS_ORDERS_PER_KEY
-    if all(len(rows) <= limit for *_, rows in parts.values()):
-        if len({key[:2] for D, _, rows in parts.values() for key in _keys(D, rows)}) <= limit:
-            return _per_key_sum(s, parts, precision, acc)
-
-    s = Fraction(s)
-    sn, sd = s.numerator, s.denominator
-    # the bracket of each p is summed in units of 2^-G, the centre's F
+    keys = all(len(rows) <= limit and sum(wp + wm for _, wp, wm in rows) for *_, rows in parts.values())
+    keys = keys and {key[:2] for D, _, rows in parts.values() for key in _keys(D, rows)}
     G = ceil(wd * _LOG2_10) + _EM_GUARD_BITS
-    cn, cd = [1], [1]  # (-1)^j (s)_j / j! = cn[j] / cd[j], exactly
-    for j in range(1, J):
-        cn.append(-cn[-1] * (sn + (j - 1) * sd))
-        cd.append(cd[-1] * j * sd)
-    step = 2 if even != odd else 1
-    centre = dict(zip(orders, _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)))
-    # the tail past J, 2 10^log_tail per unit of weight, in units of 2^-G:
-    # tn / td exactly, so that it scales a weight sum of any size
-    tn, td = (2.0 ** (log_tail * _LOG2_10 + G + 1)).as_integer_ratio()
+    if keys and len(keys) <= limit:
+        values = {a: hurwitz_zeta(s, Fraction(*a), precision) for a in keys}
+    else:
+        values = None
+        sn, sd = s.numerator, s.denominator
+        cn, cd = [1], [1]  # (-1)^j (s)_j / j! = cn[j] / cd[j], exactly
+        for j in range(1, J):
+            cn.append(-cn[-1] * (sn + (j - 1) * sd))
+            cd.append(cd[-1] * j * sd)
+        step = 2 if even != odd else 1
+        centre = dict(zip(orders, _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)))
+        # the tail past J, 2 10^log_tail per unit of weight, in units of
+        # 2^-G: tn / td exactly, so that it scales a weight sum of any size
+        tn, td = (2.0 ** (log_tail * _LOG2_10 + G + 1)).as_integer_ratio()
     for p, (D, Q, rows) in parts.items():
-        # exact integer moments of h = +-U/D, weights over Q
-        signed, magnitude = _moments(rows, orders, step)
-        weight0 = sum(abs(wp) + abs(wm) for _, wp, wm in rows)
-        part, err = 0, -(-tn * weight0 // td) + 1
-        for n, d, W in _keys(D, rows):
-            h0, e0 = power(n, d, s, G)
-            h1, e1 = power(n + d, d, s, G)
-            part += W * (h0 + h1)
-            err += abs(W) * (e0 + e1)
-        for j in orders:
-            z, den = centre[j], cd[j] * D**j
-            part += floor_shift(cn[j] * signed[j] * z._man, den, z._exp + G)
-            err += 1 + ceil_shift(abs(cn[j]) * magnitude[j] * _eps_units(z), den, z._exp + G)
-        # p^-s / Q with 16 bits more than the bracket, so its rounding
-        # stays below 2^-15 of the bracket's
+        part = err = 0
+        if values:
+            for n, d, W in _keys(D, rows):
+                z = values[n, d]
+                part += floor_shift(W * z._man, 1, z._exp + G)
+                err += 1 + ceil_shift(abs(W) * _eps_units(z), 1, z._exp + G)
+        else:
+            # exact integer moments of h = +-U/D, weights over Q
+            signed, magnitude = _moments(rows, orders, step)
+            weight0 = sum(abs(wp) + abs(wm) for _, wp, wm in rows)
+            err = -(-tn * weight0 // td) + 1
+            for n, d, W in _keys(D, rows):
+                h0, e0 = power(n, d, s, G)
+                h1, e1 = power(n + d, d, s, G)
+                part += W * (h0 + h1)
+                err += abs(W) * (e0 + e1)
+            for j in orders:
+                z, den = centre[j], cd[j] * D**j
+                part += floor_shift(cn[j] * signed[j] * z._man, den, z._exp + G)
+                err += 1 + ceil_shift(abs(cn[j]) * magnitude[j] * _eps_units(z), den, z._exp + G)
+        # p^-s with 16 bits more than the bracket over Q, so its rounding
+        # stays below 2^-15 of the bracket's; the product is floored once
         Gs = 16 + part.bit_length() + Q.bit_length() + max(0, ceil(float(s) * log2(p)))
         c, ec = power(p, 1, s, Gs)
-        c, ec = c // Q, ec // Q + 1
-        acc.add(part * c, abs(part) * ec + (c + ec) * err, -(G + Gs))
+        acc.add((part * c) // Q, 1 + ceil_shift(abs(part) * ec + (c + ec) * err, Q, 0), -(G + Gs))
 
 
 def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 30) -> BigFloat:
@@ -673,11 +665,12 @@ def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 
 
     The rows of an integer s <= 0 are summed exactly.  Those of any other
     s share the centre values of one Euler-Maclaurin pass, unless their
-    distinct a are few or s is near a pole: then each costs one
-    hurwitz_zeta call.  The value is an exact dyadic sum of fixed-point
-    products; eps sums their counted roundings, the centre values' own
-    eps, the explicit truncation tail, and the per-value eps of keys
-    evaluated one by one (module docstring).
+    distinct a are few and no p's weights sum to zero: then each costs one
+    hurwitz_zeta call.  Signed pairs are therefore summed at s = 1 too.
+    The value is an exact dyadic sum of fixed-point products; eps sums
+    their counted roundings, the centre values' own eps, the explicit
+    truncation tail, and the per-value eps of keys evaluated one by one
+    (module docstring).
     """
     groups: Dict[object, Dict[int, Tuple[int, int, list]]] = {}
     for s, parts in series.items():

@@ -15,7 +15,9 @@ from seifinv import dedekind, lattice, swfloer
 from seifinv import eta as eta_mod
 from seifinv.cli import PLUMBING_237, main
 from seifinv.numkernel import BigFloat
+from seifinv.seifert import brieskorn
 from seifinv.swfloer import LaurentPolynomial
+from tests.test_eta import _series_oracle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -157,15 +159,63 @@ def test_eta_digits_below_one_exit_2(capsys, digits):
     assert err[-1] == f"seifinv: error: --digits {digits}: must be >= 1"
 
 
-@pytest.mark.parametrize("triple, at", [("2,3,5", "1"), ("3,5,7", "2")])
+@pytest.mark.parametrize("triple, at", [("2,3,5", "2"), ("3,5,7", "2")])
 def test_eta_series_pole_exit_2(capsys, triple, at):
-    # s = 1 meets the pole of zeta(s, a), s = 2 that of zeta(s - 1, a)
+    # s = 2 meets the pole of zeta(s - 1, a), with residue -2 ell != 0
     with pytest.raises(SystemExit) as exc:
         main(["eta", "--brieskorn", triple, f"--at={at}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(f"seifinv: error: --at {at}: ")
+
+
+def test_eta_series_at_one_against_reference(capsys):
+    # eta is regular at s = 1: the residues of zeta(s, a) cancel in each
+    # signed pair, and the reference takes the Laurent constants -psi(a)
+    code, out = run(capsys, "eta", "--brieskorn", "2,3,5", "--at=1", "--digits", "30")
+    ctx = eta_mod.trivial_flat_context(brieskorn(2, 3, 5))
+    got = eta_mod.eta_series(ctx, 1, 30)
+    assert code == 0 and json.loads(out)["eta_at"]["value"] == str(got)
+    with mpmath.mp.workdps(80):
+        ref = _series_oracle(ctx, Fraction(1), 30)
+        assert abs(ref - mpmath.mpf("3.72421027150801347780741048263")) < mpmath.mpf(10) ** -29
+        assert abs(got.value - ref) <= got.eps
+
+
+@pytest.mark.parametrize(
+    "at, like",
+    [
+        ("1e-400", "0"),  # eta(0) = 539/360
+        ("0.5" + "0" * 162 + "1", "1/2"),
+        ("1." + "0" * 399 + "1", "1"),
+        ("0." + "9" * 400, "1"),
+    ],
+    ids=["1e-400", "1/2+1e-163", "1+1e-400", "1-1e-400"],
+)
+def test_eta_series_at_huge_denominators(capsys, at, like):
+    # s within 10^-160 of a simpler s prints the digits there: the pass
+    # carries its Bernoulli-term scale and its pole count in integers, so
+    # no float overflows on the denominator of s
+
+    def eta_at(s):
+        code, out = run(capsys, "eta", "--brieskorn", "2,3,5", f"--at={s}", "--digits", "30")
+        assert code == 0
+        return json.loads(out)["eta_at"]
+
+    got = eta_at(at)
+    assert got["s"] == str(Fraction(at)) and got["value"] == eta_at(like)["value"]
+
+
+def test_eta_series_near_minus_3_at_huge_denominator(capsys):
+    # s + 3 = 10^-400: the Taylor orders take log |s + j| from the exact s
+    at = "-2." + "9" * 400
+    code, out = run(capsys, "eta", "--brieskorn", "2,3,5", f"--at={at}", "--digits", "30")
+    got = eta_mod.eta_series(eta_mod.trivial_flat_context(brieskorn(2, 3, 5)), Fraction(at), 30)
+    assert code == 0 and json.loads(out)["eta_at"]["value"] == str(got)
+    # eta(-3) = 0 on Sigma(2,3,5), and eta(s) lies about 10^-400 from it
+    with mpmath.mp.workdps(450):
+        assert abs(got.value) <= got.eps + mpmath.mpf(10) ** -390
 
 
 @pytest.mark.parametrize("extra", [(), ("--gammas", ""), ("--at=1/2",)])

@@ -300,12 +300,21 @@ def test_series_rows_match_merged_term_oracle():
 
 def _series_oracle(ctx, s, digits):
     """Term-by-term eta(s), each zeta(s', a) by mpmath's rational-a route
-    mp.zeta(s', (p, q)) at 2 digits + 20."""
-    with mp.workdps(2 * digits + 20):
+    mp.zeta(s', (p, q)) at 2 digits + 20.  For s in (-1, 2), where s' or
+    the 1 - s' of mpmath's reflection nears the pole at 1, it adds the
+    digits of the denominator of s, which bound the residues 1/(s' - 1)
+    that cancel.  At s' = 1 it takes the constant Laurent term -psi(a):
+    the weights of each p sum to zero, so the residues and the -log p
+    terms of p^-s' cancel."""
+    s = Fraction(s)
+    with mp.workdps(2 * digits + 20 + (-1 < s < 2) * len(str(s.denominator))):
         total = mp.mpf(0)
         for s1, p, a, w in _series_terms(ctx, s):
             if w:
-                zeta = mp.zeta(_exact_mpf(s1), (a.numerator, a.denominator))
+                if s1 == 1:
+                    zeta = -mp.digamma(_exact_mpf(a))
+                else:
+                    zeta = mp.zeta(_exact_mpf(s1), (a.numerator, a.denominator))
                 total += _exact_mpf(Fraction(w)) * mp.mpf(p) ** -_exact_mpf(s1) * zeta
         return +total
 
@@ -376,6 +385,48 @@ def test_series_at_large_s_against_term_oracle(triple, s):
         assert err <= got.eps, (triple, s, err, got.eps)
 
 
+#: s = n +- 10^-k about the integers n = -3, 0, 1, and s = 1
+NEAR_POLE_S = [Fraction(1)] + [
+    n + Fraction(sign, 10**k) for n in (-3, 0, 1) for k in (3, 12, 25) for sign in (1, -1)
+]
+
+
+# few keys of small denominator: the reference's rational-a route costs
+# O(denominator of a) per value at s' < 0.  The two s keys of the flat
+# context (rho = 1/2) are few enough for per-key values, which would each
+# carry a residue at s = 1: their zero weight sum keeps them on the moments
+NEAR_POLE_CONTEXTS = {
+    "flat": lambda: trivial_flat_context(SeifertData(Orbifold(0, (2,)), (1,), -2)),
+    "pullback": lambda: pullback_context(
+        brieskorn(2, 3, 5), VLineBundle(brieskorn(2, 3, 5).base, 1, (1, 2, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NEAR_POLE_CONTEXTS))
+def test_series_near_poles_against_term_oracle(kind):
+    # s + j of the Taylor expansion meets or grazes the pole of zeta at 1,
+    # and at s = 1 the residues cancel in each signed pair
+    ctx = NEAR_POLE_CONTEXTS[kind]()
+    for s in NEAR_POLE_S:
+        got = eta_series(ctx, s, 15)
+        with mp.workdps(50):
+            err = abs(got.value - _series_oracle(ctx, s, 15))
+            assert err <= got.eps, (kind, s, err, got.eps)
+
+
+@pytest.mark.parametrize("k", [1, 10, 20, 29])
+def test_series_at_one_plus_minus_prints_correct_digits(k):
+    # eta(1 +- 10^-k) on Sigma(2,3,5): the residues cancel in the moments,
+    # not one key at a time, so eps stays below the 30th digit
+    ctx = trivial_flat_context(brieskorn(2, 3, 5))
+    for s in (1 + Fraction(1, 10**k), 1 - Fraction(1, 10**k)):
+        got = eta_series(ctx, s, 30)
+        with mp.workdps(80):
+            err = abs(got.value - _series_oracle(ctx, s, 30))
+            assert err <= got.eps < mp.mpf(10) ** -30 * abs(got.value), (s, err, got.eps)
+
+
 def test_series_eps_covers_error_at_alpha_301():
     # a corpus case at alpha ~ 10^2.5, where the Taylor moments of
     # hurwitz_sum replace 305 per-key Hurwitz values
@@ -428,19 +479,28 @@ def test_series_hurwitz_calls_distinct_and_alpha_independent(
     assert orders[0] == orders[1]
 
 
-def test_series_near_nonpositive_integer_goes_per_key(monkeypatch):
-    # within 1/100 of an integer <= 1 some s + j of the Taylor expansion
-    # would graze the pole of zeta at 1: such an s costs one call per key
-    ctx = trivial_flat_context(brieskorn(2, 3, 101))
-    s = Fraction(1, 10**20) - 3
-    rows = [r for parts in series_rows(ctx, s).values() for *_, r in parts.values()]
-    keys = sum(1 for r in rows for ws in r.values() for w in ws if w)
+@pytest.mark.parametrize("n", [-3, -2])
+def test_series_near_nonpositive_integer_takes_one_centre_pass(monkeypatch, n):
+    # near an integer n <= 0 some s + j of the Taylor expansion grazes the
+    # pole of zeta at 1 (at n = -2 an odd order, which the signed pairs
+    # need), where (s)_j has the factor s - n: the product stays finite,
+    # and one centre pass still serves every s key
+    s = Fraction(1, 10**20) + n
     calls = _count_hurwitz_calls(monkeypatch)
-    got = eta_series(ctx, s, 20)
-    assert len(calls) == len(set(calls)) == keys
-    at_minus_3 = eta_series(ctx, -3, 20)  # exact
-    with mp.workdps(35):
-        assert abs(got.value - at_minus_3.value) < mp.mpf(10) ** -10 * max(1, abs(at_minus_3.value))
+    passes = _count_centre_passes(monkeypatch)
+    counts = []
+    for c in (101, 1001):
+        calls.clear()
+        passes.clear()
+        got = eta_series(trivial_flat_context(brieskorn(2, 3, c)), s, 20)
+        assert len(passes) == 1 and passes[0][0] == s + 1
+        assert {s1 for s1, _ in calls} <= {s - 1}  # only the s - 1 keys go per key
+        counts.append((len(calls), passes[0]))
+        if c == 101:
+            exact = eta_series(trivial_flat_context(brieskorn(2, 3, c)), n, 20)
+            with mp.workdps(35):
+                assert abs(got.value - exact.value) < mp.mpf(10) ** -10 * max(1, abs(exact.value))
+    assert counts[0] == counts[1]
 
 
 def test_levicivita_correction():
