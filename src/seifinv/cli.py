@@ -345,7 +345,7 @@ def _cmd_plumbing(args, parser) -> int:
         parser.error(f"--brieskorn {args.brieskorn!r}: {exc}")
     out = {"triple": [a, b, c], "rank": q.rank, "det": q.determinant}
     if args.matrix:
-        out["matrix"] = [list(row) for row in q.matrix]
+        out["matrix"] = q.matrix
     if args.theta:
         out["theta"] = lat.theta_invariant(q)
     if args.diagonalize:

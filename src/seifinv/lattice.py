@@ -10,6 +10,11 @@ smooth degree b of the Seifert data and whose i-th arm carries weights
 The resulting symmetric integer matrix is negative definite and
 unimodular.
 
+Storage.  A form is its sparse rows, row i = {j: q_ij} over the nonzero
+entries (3n - 2 on a star of rank n), which every product q v and the
+factorisation read.  The dense n x n `matrix` is a view, filled on first
+read and cached, for the code that prints or compares its cells.
+
 Factorisation.  The exact LDL of -q, computed once and cached on the
 form, is its only factorisation.  It works over the nonzeros of each
 row: on a star-shaped plumbing, center first, each row of the factor
@@ -56,64 +61,79 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from seifinv.numkernel import InvariantError
+from seifinv.numkernel import InvariantError, integers
 from seifinv.seifert import brieskorn
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
 #: Largest plumbing rank n whose intersection form is built; larger ones
-#: are refused with ValueError.  The form is stored dense, as n^2 cells,
-#: at most 4 * 10^6; its sparse LDL holds only O(n) entries.  What grows
-#: with n^2 is the dense form and the n^2 cells that `--matrix` prints.
-#: Sigma(2,3,c) has rank about c/6.
+#: are refused with ValueError.  The form and its LDL hold O(n) entries;
+#: what grows with n^2 is the dense view `--matrix` prints (at most 4 * 10^6
+#: cells) and the basis the <-1> split reduces.  Sigma(2,3,c) has rank ~c/6.
 MAX_PLUMBING_RANK = 2000
 
 
-def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    try:
-        return tuple(tuple(map(operator.index, row)) for row in rows)
-    except TypeError:
-        raise ValueError("matrix entries must be integers") from None
-
-
 class IntegerQuadraticForm:
-    """Symmetric integer matrix with cached definiteness metadata.  Equal
-    and hashed by its matrix; the cache is not part of its value."""
+    """Symmetric integer matrix with cached definiteness metadata, stored as
+    its read-only sparse rows and built from rows that are each a sequence of
+    n integers or a mapping j -> integer.  Equal and hashed by its rows; the
+    cache, which also holds the dense view `matrix`, is not its value."""
 
-    __slots__ = ("_matrix", "_cache")
-    matrix = property(operator.attrgetter("_matrix"))
+    __slots__ = ("_rows", "_cache")
+    rows = property(operator.attrgetter("_rows"))
 
-    def __init__(self, matrix: Sequence[Sequence[int]]):
-        matrix = _freeze(matrix)
-        n = len(matrix)
-        for row in matrix:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        # row i against column i, lazily: no transposed copy of the n^2 cells
-        if not all(map(tuple.__eq__, matrix, zip(*matrix))):
-            raise ValueError("matrix must be symmetric")
-        self._matrix, self._cache = matrix, {}
+    def __init__(self, rows: Sequence):
+        n = len(rows)
+        sparse: List[Dict[int, int]] = []
+        for row in rows:
+            if not isinstance(row, Mapping):
+                row = dict(enumerate(integers(row, "matrix entries")))
+                if len(row) != n:
+                    raise ValueError("matrix must be square")
+            cells = zip(integers(row, "matrix indices"), integers(row.values(), "matrix entries"))
+            sparse.append({j: x for j, x in cells if x})
+        for i, row in enumerate(sparse):
+            for j, x in row.items():
+                if not 0 <= j < n:
+                    raise ValueError("matrix must be square")
+                if sparse[j].get(i) != x:
+                    raise ValueError("matrix must be symmetric")
+        self._rows, self._cache = tuple(map(MappingProxyType, sparse)), {}
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense n x n tuple, filled on first read and cached."""
+        if "matrix" not in self._cache:
+            n, dense = len(self._rows), []
+            for row in self._rows:
+                cells = [0] * n
+                for j, x in row.items():
+                    cells[j] = x
+                dense.append(tuple(cells))
+            self._cache["matrix"] = tuple(dense)
+        return self._cache["matrix"]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._matrix == other._matrix
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
-        return f"IntegerQuadraticForm(matrix={self._matrix!r})"
+        return f"IntegerQuadraticForm(matrix={self.matrix!r})"
 
     @property
     def rank(self) -> int:
-        return len(self.matrix)
+        return len(self._rows)
 
     def _negated_ldl(self) -> Optional[Tuple[List[Fraction], List[Dict[int, Fraction]]]]:
         """The LDL of -q, the form's only factorisation, computed once and
         cached; None when q is not negative definite."""
         if "ldl" not in self._cache:
             try:
-                self._cache["ldl"] = _ldl(self.matrix)
+                self._cache["ldl"] = _ldl(self._rows)
             except ValueError:
                 self._cache["ldl"] = None
         return self._cache["ldl"]
@@ -135,7 +155,7 @@ class IntegerQuadraticForm:
         return abs(self.determinant) == 1
 
     def __hash__(self):
-        return hash(self._matrix)
+        return hash(tuple(frozenset(row.items()) for row in self._rows))
 
 
 class PlumbingGraph(namedtuple("PlumbingGraph", "center_weight arms")):
@@ -149,18 +169,15 @@ class PlumbingGraph(namedtuple("PlumbingGraph", "center_weight arms")):
         return 1 + sum(len(arm) for arm in self.arms)
 
     def intersection_form(self) -> IntegerQuadraticForm:
-        n = self.rank
-        m = [[0] * n for _ in range(n)]
-        m[0][0] = self.center_weight
-        idx = 1
+        rows = [{0: self.center_weight}]
         for arm in self.arms:
             prev = 0
             for w in arm:
-                m[idx][idx] = w
-                m[idx][prev] = m[prev][idx] = 1
+                idx = len(rows)
+                rows[prev][idx] = 1
+                rows.append({idx: w, prev: 1})
                 prev = idx
-                idx += 1
-        return IntegerQuadraticForm(m)
+        return IntegerQuadraticForm(rows)
 
 
 def hj_expand(alpha: int, beta: int) -> List[int]:
@@ -207,20 +224,14 @@ def plumbing_form(a: int, b: int, c: int) -> IntegerQuadraticForm:
 
 
 def direct_sum(q1: IntegerQuadraticForm, q2: IntegerQuadraticForm) -> IntegerQuadraticForm:
-    n1, n2 = q1.rank, q2.rank
-    m = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            m[i][j] = q1.matrix[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            m[n1 + i][n1 + j] = q2.matrix[i][j]
-    return IntegerQuadraticForm(m)
+    n1 = q1.rank
+    shifted = ({n1 + j: x for j, x in row.items()} for row in q2.rows)
+    return IntegerQuadraticForm([*q1.rows, *shifted])
 
 
 def is_even(q: IntegerQuadraticForm) -> bool:
     """Even iff every diagonal entry is even (iff 0 is characteristic)."""
-    return all(q.matrix[i][i] % 2 == 0 for i in range(q.rank))
+    return all(row.get(i, 0) % 2 == 0 for i, row in enumerate(q.rows))
 
 
 def minus_e8() -> IntegerQuadraticForm:
@@ -229,17 +240,16 @@ def minus_e8() -> IntegerQuadraticForm:
 
 
 def diagonal_form(entries: Sequence[int]) -> IntegerQuadraticForm:
-    n = len(entries)
-    return IntegerQuadraticForm([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return IntegerQuadraticForm([{i: e} for i, e in enumerate(entries)])
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
 
-def _ldl(m: Matrix) -> Tuple[List[Fraction], List[Dict[int, Fraction]]]:
+def _ldl(rows: Sequence[Mapping[int, int]]) -> Tuple[List[Fraction], List[Dict[int, Fraction]]]:
     """Triangular decomposition of -m for a negative definite symmetric m,
-    over the nonzeros of each row:
+    given by its sparse rows (row i = {j: m_ij} over the nonzeros):
 
         -m(x, x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
 
@@ -247,7 +257,7 @@ def _ldl(m: Matrix) -> Tuple[List[Fraction], List[Dict[int, Fraction]]]:
     u_ij, j > i.  Raises ValueError if m is not negative definite.
     """
     # work[i] = {j: entry} over the nonzeros of row i of -m with j >= i
-    work = [{j: Fraction(-x) for j, x in enumerate(row[i:], i) if x} for i, row in enumerate(m)]
+    work = [{j: Fraction(-x) for j, x in row.items() if j >= i} for i, row in enumerate(rows)]
     d: List[Fraction] = []
     u: List[Dict[int, Fraction]] = []
     for i, row in enumerate(work):
@@ -293,7 +303,7 @@ def _characteristic_vector(q: IntegerQuadraticForm) -> List[int]:
     characteristic coset: the solution of q x = diag q, reduced mod 2.
     For |det q| = 1 that solution is integral and its class mod 2 is
     unique; a non-integral one raises InvariantError."""
-    x = _solve(q, [q.matrix[i][i] for i in range(q.rank)])
+    x = _solve(q, [row.get(i, 0) for i, row in enumerate(q.rows)])
     if any(t.denominator != 1 for t in x):
         raise InvariantError("q x = diag q has no integer solution: q is not unimodular")
     return [int(t) % 2 for t in x]
@@ -380,16 +390,14 @@ def _theta_search(q: IntegerQuadraticForm) -> int:
     q, on the form's cached LDL of -q in the form's own coordinate order.
     Production runs it only on an odd split residual; on full forms it is
     the oracle of the tests and `seifinv verify lattice`."""
-    n = q.rank
     d, u = q._negated_ldl()
     parity = _characteristic_vector(q)
     # the characteristic vector xi0 = parity gives the initial bound -q(xi0)
-    ones = [i for i in range(n) if parity[i]]
-    start = Fraction(-sum(q.matrix[i][j] for i in ones for j in ones))
+    start = Fraction(-_dot(parity, _times(q.rows, parity)))
     norm, _ = _min_norm_search(d, u, parity, start)
     if norm is None or norm.denominator != 1:
         raise InvariantError(f"characteristic minimum {norm} is not an integer")
-    return n - int(norm)
+    return q.rank - int(norm)
 
 
 def _require_negative_unimodular(q: IntegerQuadraticForm, caller: str) -> None:
@@ -460,8 +468,8 @@ def _dot(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(v, w))
 
 
-def _times(m: Matrix, v: Sequence[int]) -> List[int]:
-    return [_dot(row, v) for row in m]
+def _times(rows: Sequence[Mapping[int, int]], v: Sequence[int]) -> List[int]:
+    return [sum(x * v[j] for j, x in row.items()) for row in rows]
 
 
 def _identity(n: int) -> List[List[int]]:
@@ -479,8 +487,8 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
         raise InvariantError(f"{len(found)} norm -1 vectors: they must come in +- pairs")
     # one representative per pair: first nonzero coordinate positive
     reps = [v for v in found if next(t for t in v if t) > 0]
-    # the n x k products q v give every pairing below in O(n) each
-    pairings = [_times(q.matrix, v) for v in reps]
+    # the k sparse products q v give every pairing below in O(n) each
+    pairings = [_times(q.rows, v) for v in reps]
     # by Cauchy-Schwarz on -q, distinct representatives of norm -1 are
     # pairwise orthogonal
     if any(_dot(p, v) != -1 for p, v in zip(pairings, reps)):
@@ -493,7 +501,7 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
         basis = _identity(n)
         for p in pairings:
             basis = _kernel_basis_of_functional([_dot(p, b) for b in basis], basis)
-        qb = [_times(q.matrix, b) for b in basis]
+        qb = [_times(q.rows, b) for b in basis]
         residual = IntegerQuadraticForm([[_dot(b, c) for c in qb] for b in basis])
         if not (residual.is_negative_definite() and residual.is_unimodular()):
             raise InvariantError(

@@ -123,10 +123,11 @@ also at and near s = 1 and the integers s <= 0.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, gcd, inf, log2, log10, pi
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from seifinv.fixedpoint import (
     DyadicSum,
@@ -150,6 +151,14 @@ class InvariantError(RuntimeError):
 
     Raised instead of ``assert`` so the checks survive ``python -O``.
     """
+
+
+def integers(values: Iterable, what: str) -> Tuple[int, ...]:
+    """values through operator.index, never truncated: ValueError otherwise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 _GUARD_DIGITS = 15
@@ -193,12 +202,12 @@ def _round_up(man: int, exp: int, bits: int = 64) -> Tuple[int, int]:
     return (man, exp) if shift <= 0 else (-(-man >> shift), exp + shift)
 
 
-def _dyadic(x: mpmath.mpf) -> Tuple[int, int]:
-    """(man, exp) of a finite mpmath mpf, exactly."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"BigFloat needs a finite number, got {x}")
-    return (-man if sign else man), exp
+def _mpf(man: int, exp: int) -> mpmath.mpf:
+    """man 2^exp as an mpmath mpf, exactly; mpmath is imported here only."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    return mp.make_mpf(from_man_exp(man, exp))
 
 
 class BigFloat:
@@ -208,50 +217,29 @@ class BigFloat:
     ``digits`` is the precision every producing operation was asked for;
     ``eps`` estimates |value - exact| from the counted roundings (see the
     module docstring); it is not a rigorous bound.  str, float, equality
-    and ``within`` are integer code; ``value`` and ``eps`` are mpmath
-    mpfs, exact, built (and mpmath imported) on the first read.
+    and ``within`` are integer code; ``value`` and ``eps`` are exact
+    mpmath views for oracle code, built (and mpmath imported) on each read.
     """
 
     # read-only fields, but not a tuple: a number must not unpack or serialise as a JSON array
-    __slots__ = ("_man", "_exp", "_digits", "_eman", "_eexp", "_mpfs")
+    __slots__ = ("_man", "_exp", "_digits", "_eman", "_eexp")
 
-    def __init__(self, value: mpmath.mpf, digits: int, eps: mpmath.mpf):
-        """value and eps as finite mpmath mpfs, taken exactly."""
-        self._man, self._exp = _dyadic(value)
-        self._eman, self._eexp = _dyadic(eps)
-        self._digits, self._mpfs = digits, (value, eps)
-
-    @classmethod
-    def _make(cls, man: int, exp: int, digits: int, err: int, eexp: int) -> BigFloat:
+    def __init__(self, man: int, exp: int, digits: int, err: int, eexp: int):
         """man 2^exp with eps = err 2^eexp, err >= 0 rounded up to 64 bits."""
-        self = object.__new__(cls)
         self._man, self._exp, self._digits = man, exp, digits
         self._eman, self._eexp = _round_up(err, eexp)
-        self._mpfs = None
-        return self
 
     @property
     def digits(self) -> int:
         return self._digits
 
-    def _mpf_pair(self):
-        if self._mpfs is None:
-            from mpmath import mp
-            from mpmath.libmp import from_man_exp
-
-            self._mpfs = (
-                mp.make_mpf(from_man_exp(self._man, self._exp)),
-                mp.make_mpf(from_man_exp(self._eman, self._eexp)),
-            )
-        return self._mpfs
-
     @property
     def value(self) -> mpmath.mpf:
-        return self._mpf_pair()[0]
+        return _mpf(self._man, self._exp)
 
     @property
     def eps(self) -> mpmath.mpf:
-        return self._mpf_pair()[1]
+        return _mpf(self._eman, self._eexp)
 
     def _key(self):
         return (*_normal(self._man, self._exp), self._digits, *_normal(self._eman, self._eexp))
@@ -295,7 +283,7 @@ def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
     man, e = round_rational(man, x.denominator, prec)
     den = 10 ** (precision + _GUARD_DIGITS - 3)
     shift = 64 - abs(man).bit_length() + den.bit_length()
-    return BigFloat._make(man, exp + e, precision, ceil_shift(abs(man), den, shift), exp + e - shift)
+    return BigFloat(man, exp + e, precision, ceil_shift(abs(man), den, shift), exp + e - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +486,7 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
         count += (size >> (Pc - 1)) + Mi
         # the remainder bound 2^bound, in units of 2^-F rounded up
         remainder = 1 << max(ceil(bound + 1e-6) + F, 0)
-        out.append(BigFloat._make(total, -F, precision, ceil(count) + pole + remainder, -F))
+        out.append(BigFloat(total, -F, precision, ceil(count) + pole + remainder, -F))
         if i + 1 < J:
             powers = [t * qs // d for t, d in zip(powers, dens)]
             tX = tX * qs // xs
@@ -692,4 +680,4 @@ def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 
     for s, parts in groups.items():
         _group_sum(s, parts, precision, acc)
     acc.add_rational(exact)
-    return BigFloat._make(acc.man, acc.exp, precision, acc.err, acc.exp)
+    return BigFloat(acc.man, acc.exp, precision, acc.err, acc.exp)

@@ -38,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
-from seifinv.numkernel import InvariantError
+from seifinv.numkernel import InvariantError, integers
 
 
 class Orbifold(namedtuple("Orbifold", "genus alphas")):
@@ -48,13 +48,13 @@ class Orbifold(namedtuple("Orbifold", "genus alphas")):
     __slots__ = ()
 
     def __new__(cls, genus: int, alphas: Tuple[int, ...]):
-        alphas = tuple(int(a) for a in alphas)
+        genus, *alphas = integers((genus, *alphas), "genus and isotropy orders")
         if genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
         for a in alphas:
             if a < 2:
                 raise ValueError(f"isotropy orders must be >= 2, got {a}")
-        return super().__new__(cls, genus, alphas)
+        return super().__new__(cls, genus, tuple(alphas))
 
     @property
     def num_cone_points(self) -> int:
@@ -67,13 +67,13 @@ class VLineBundle(namedtuple("VLineBundle", "base smooth_degree gammas")):
     __slots__ = ()
 
     def __new__(cls, base: Orbifold, smooth_degree: int, gammas: Tuple[int, ...]):
-        gammas = tuple(int(g) for g in gammas)
+        smooth_degree, *gammas = integers((smooth_degree, *gammas), "smooth degree and weights")
         if len(gammas) != base.num_cone_points:
             raise ValueError("one weight per cone point required")
         for g, a in zip(gammas, base.alphas):
             if not 0 <= g < a:
                 raise ValueError(f"weight {g} not normalized for isotropy {a}")
-        return super().__new__(cls, base, smooth_degree, gammas)
+        return super().__new__(cls, base, smooth_degree, tuple(gammas))
 
 
 def rational_degree(L: VLineBundle) -> Fraction:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from seifinv.numkernel import InvariantError
+from seifinv.numkernel import InvariantError, integers
 from seifinv.orbifold import Orbifold, VLineBundle, rational_degree
 
 
@@ -36,7 +36,7 @@ class SeifertData(namedtuple("SeifertData", "base betas smooth_degree")):
     __slots__ = ()
 
     def __new__(cls, base: Orbifold, betas: Tuple[int, ...], smooth_degree: int):
-        betas = tuple(int(b) for b in betas)
+        smooth_degree, *betas = integers((smooth_degree, *betas), "smooth degree and betas")
         if len(betas) != base.num_cone_points:
             raise ValueError("one beta per cone point required")
         for a, b in zip(base.alphas, betas):
@@ -44,7 +44,7 @@ class SeifertData(namedtuple("SeifertData", "base betas smooth_degree")):
                 raise ValueError(f"beta = {b} not normalized for alpha = {a}")
             if gcd(a, b) != 1:
                 raise ValueError(f"(alpha, beta) = ({a}, {b}) not coprime")
-        return super().__new__(cls, base, betas, smooth_degree)
+        return super().__new__(cls, base, tuple(betas), smooth_degree)
 
     @property
     def alphas(self) -> Tuple[int, ...]:
@@ -63,7 +63,7 @@ def defining_bundle(N: SeifertData) -> VLineBundle:
 def brieskorn(a: int, b: int, c: int) -> SeifertData:
     """Seifert data of the Brieskorn sphere Sigma(a, b, c), oriented as the
     link of x^a + y^b + z^c = 0 (so ell = -1/(abc))."""
-    triple = (int(a), int(b), int(c))
+    triple = integers((a, b, c), "Brieskorn exponents")
     for t in triple:
         if t < 2:
             raise ValueError(f"Brieskorn exponents must be >= 2, got {t}")

@@ -72,7 +72,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from seifinv.eta import froyshov_F, trivial_flat_context
-from seifinv.numkernel import InvariantError
+from seifinv.numkernel import InvariantError, integers
 from seifinv.orbifold import Orbifold, VLineBundle, rational_degree
 from seifinv.seifert import SeifertData, brieskorn
 
@@ -99,7 +99,9 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Dict[int, int] | None = None):
-        self._coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
+        coeffs = coeffs or {}
+        terms = zip(integers(coeffs, "exponents"), integers(coeffs.values(), "coefficients"))
+        self._coeffs = {e: c for e, c in terms if c}
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPolynomial":

@@ -617,6 +617,12 @@ def test_ignored_option_exit_2(capsys, argv, message):
     assert errors == [f"seifinv: error: {message}"]
 
 
+def _bigfloat(value, digits, eps):
+    """The BigFloat of the finite mpmath numbers value and eps >= 0, exactly."""
+    man, exp = value.man_exp
+    return BigFloat(-man if value < 0 else man, exp, digits, *eps.man_exp)
+
+
 @pytest.mark.parametrize("shift, passes", [("5e-27", True), ("2e-26", False)])
 def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, passes):
     # the series at s = 0 may drift from the exact eta(0) by 10^-26, no more
@@ -627,7 +633,7 @@ def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, pass
         if s != 0:
             return v
         with mpmath.workdps(precision + 15):
-            return BigFloat(v.value + mpmath.mpf(shift), v.digits, v.eps)
+            return _bigfloat(v.value + mpmath.mpf(shift), v.digits, v.eps)
 
     monkeypatch.setattr(eta_mod, "eta_series", shifted)
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")
@@ -653,7 +659,7 @@ def test_verify_eta_consistency_checks_series_off_zero(capsys, monkeypatch):
         if s == 0:
             return v
         with mpmath.workdps(precision + 15):
-            return BigFloat(v.value + 100 * v.eps, v.digits, v.eps)
+            return _bigfloat(v.value + 100 * v.eps, v.digits, v.eps)
 
     monkeypatch.setattr(eta_mod, "eta_series", shifted)
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
@@ -209,6 +210,44 @@ def test_form_refuses_ragged_and_asymmetric_matrices():
     assert IntegerQuadraticForm([[-2, 1], [1, -2]]).matrix == ((-2, 1), (1, -2))
 
 
+def test_form_from_dense_rows_equals_form_from_sparse_rows():
+    forms = (plumbing_form(2, 3, 7), plumbing_form(3, 5, 7), minus_e8(), diagonal_form([-1, 0, -3]))
+    for q in forms:
+        sparse = IntegerQuadraticForm([dict(row) for row in q.rows])
+        dense = IntegerQuadraticForm(q.matrix)
+        assert sparse == dense == q and hash(sparse) == hash(dense) == hash(q)
+    # a mapping row may list its entries in any order, zeros included
+    assert IntegerQuadraticForm([{1: 1, 0: -2}, {0: 1, 1: -2, 2: 0}, {}]) == IntegerQuadraticForm(
+        [[-2, 1, 0], [1, -2, 0], [0, 0, 0]]
+    )
+    for rows in ([{0: -2, 2: 1}, {1: -2}], [{0: -2, -1: 1}]):
+        with pytest.raises(ValueError, match="square"):
+            IntegerQuadraticForm(rows)
+    with pytest.raises(ValueError, match="symmetric"):
+        IntegerQuadraticForm([{0: -2, 1: 1}, {0: 2, 1: -2}])
+    for rows in ([{0.5: -2}], [{0: -2.0}], [{"0": -2}]):
+        with pytest.raises(ValueError, match="integers"):
+            IntegerQuadraticForm(rows)
+
+
+def test_plumbing_form_memory_is_linear_in_rank():
+    # the form keeps its 3n - 2 nonzero entries and the LDL at most 3n:
+    # the peak of building plumbing_form(2,3,c) with its determinant grows
+    # linearly in the rank n, where n^2 cells would quadruple it at each
+    # doubling, and no dense view is filled on the way
+    peaks = []
+    for c in (3043, 6043, 11983):  # ranks 510, 1010, 2000
+        tracemalloc.start()
+        try:
+            q = plumbing_form(2, 3, c)
+            assert q.determinant == (-1) ** q.rank
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in set(q._cache)
+    assert all(big <= 2.5 * small for small, big in zip(peaks, peaks[1:])), peaks
+
+
 def test_is_minus_e8_rejects_other_even_unimodular_rank_8():
     plus_e8 = IntegerQuadraticForm([[-x for x in row] for row in minus_e8().matrix])
     h = IntegerQuadraticForm(((0, 1), (1, 0)))
@@ -350,7 +389,7 @@ def test_ldl_rebuilds_negated_form():
     forms = [q for _, q in _oracle_conjugates(rng)]
     forms += [plumbing_form(*t) for t in ((2, 3, 5), (3, 5, 7), (2, 3, 1801))]
     for q in forms:
-        d, u = _ldl(q.matrix)
+        d, u = _ldl(q.rows)
         assert all(j > i and x for i, row in enumerate(u) for j, x in row.items())
         assert _rebuild_from_ldl(q.rank, d, u) == [[-x for x in row] for row in q.matrix]
 
@@ -360,7 +399,7 @@ def test_ldl_of_plumbing_form_is_sparse():
     # entries and the arm rows at most 3, 2 and 1
     for t in ((2, 3, 5), (3, 5, 7), (5, 9, 11), (2, 3, 1801)):
         q = plumbing_form(*t)
-        _, u = _ldl(q.matrix)
+        _, u = _ldl(q.rows)
         assert sum(len(row) for row in u) <= 3 * q.rank, t
 
 
@@ -371,7 +410,7 @@ def test_characteristic_vector_solves_parity():
     for q in forms:
         x = _characteristic_vector(q)
         assert set(x) <= {0, 1}
-        qx = lattice._times(q.matrix, x)
+        qx = lattice._times(q.rows, x)
         assert all((qx[i] - q.matrix[i][i]) % 2 == 0 for i in range(q.rank))
 
 

@@ -495,7 +495,7 @@ def test_bigfloat_str_is_correctly_rounded():
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     agreed = 0
     for man, exp, digits in _dyadic_corpus():
-        x = BigFloat._make(man, exp, digits, 0, 0)
+        x = BigFloat(man, exp, digits, 0, 0)
         text, at = str(x).split("@")
         value = Decimal(man << exp) if exp >= 0 else exact.scaleb(Decimal(man * 5**-exp), exp)
         rounded = exact.copy()
@@ -518,7 +518,7 @@ def test_to_str_of_an_integer_part_past_the_str_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = mp.nstr(BigFloat._make(man, -268098, 10, 0, 0).value, 10)
+        want = mp.nstr(BigFloat(man, -268098, 10, 0, 0).value, 10)
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want and got.endswith("e+37164"), (got, want)
@@ -537,16 +537,18 @@ def test_bigfloat_from_rational_rounds_as_mpmath():
 
 
 def test_bigfloat_contract():
-    a = BigFloat(mp.mpf(1.5), 30, mp.mpf(2) ** -100)
-    b = BigFloat._make(12, -3, 30, 1 << 20, -120)
+    a = BigFloat(3, -1, 30, 1, -100)
+    b = BigFloat(12, -3, 30, 1 << 20, -120)
     assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1.5@30"
-    assert float(b) == 1.5 and float(BigFloat._make(-3, 200, 5, 0, 0)) == -3 * 2.0**200
+    assert float(b) == 1.5 and float(BigFloat(-3, 200, 5, 0, 0)) == -3 * 2.0**200
     big = (1 << 3000) + 1
-    assert [float(BigFloat._make(m, e, 5, 0, 0)) for m, e in ((-3, 5000), (big, -10), (big, -2000))] == [
+    assert [float(BigFloat(m, e, 5, 0, 0)) for m, e in ((-3, 5000), (big, -10), (big, -2000))] == [
         float(mp.mpf(-3) * 2**5000), float(mp.mpf(big) / 2**10), float(mp.mpf(big) / 2**2000)]
     assert b.within(Fraction(3, 2), 0) and not b.within(Fraction(3, 2) + Fraction(1, 10**40), 0)
-    assert b.eps == mp.mpf(2) ** -100
-    assert a != BigFloat._make(12, -3, 31, 1 << 20, -120)
+    assert b.value == 1.5 and b.eps == mp.mpf(2) ** -100
+    with pytest.raises(AttributeError):
+        b.value = b.value
+    assert a != BigFloat(12, -3, 31, 1 << 20, -120)
 
 
 def test_hurwitz_sum_is_thread_safe():

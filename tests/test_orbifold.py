@@ -74,6 +74,20 @@ def test_base_mismatch_rejected():
         add_bundles(l1, l2)
 
 
+def test_orbifold_refuses_non_integer_fields():
+    # Orbifold(0, (2.5, 3)) once had alphas (2, 3)
+    for genus, alphas in ((0, (2.5, 3)), (0, ("2", 3)), (0.0, (2, 3)), (Fraction(1), (2, 3))):
+        with pytest.raises(ValueError, match="genus and isotropy orders must be integers"):
+            Orbifold(genus, alphas)
+
+
+def test_vline_bundle_refuses_non_integer_fields():
+    S = Orbifold(0, (2, 3))
+    for degree, gammas in ((0, (1.5, 2)), (0, (1, "2")), (0.5, (1, 2)), (Fraction(1), (1, 2))):
+        with pytest.raises(ValueError, match="smooth degree and weights must be integers"):
+            VLineBundle(S, degree, gammas)
+
+
 def test_rrk_index():
     assert rrk_index(trivial_bundle(Orbifold(3, ()))) == -2
     assert rrk_index(canonical_bundle(Orbifold(0, (2, 3, 5)))) == -1

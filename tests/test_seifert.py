@@ -35,6 +35,22 @@ def test_brieskorn_validation():
         brieskorn(1, 2, 3)
 
 
+def test_brieskorn_refuses_non_integer_exponents():
+    # these once truncated to Sigma(2,3,5) or were parsed from a string
+    for triple in ((2.9, 3, 5), ("2", 3, 5), (Fraction(2), 3, 5), (2, 3, 5.0)):
+        with pytest.raises(ValueError, match="Brieskorn exponents must be integers"):
+            brieskorn(*triple)
+
+
+def test_seifert_data_refuses_non_integer_fields():
+    base = Orbifold(0, (2, 3, 5))
+    cases = (((1.5, 2, 4), -2), (("1", 2, 4), -2), ((1, 2, 4), -2.0), ((1, 2, 4), Fraction(-2)))
+    for betas, b in cases:
+        with pytest.raises(ValueError, match="smooth degree and betas must be integers"):
+            SeifertData(base, betas, b)
+    assert SeifertData(base, [1, 2, 4], -2) == brieskorn(2, 3, 5)
+
+
 def test_beta_families_to_50():
     for k in range(1, 51):
         assert brieskorn(2, 3, 6 * k + 1).betas == (1, 1, k)

@@ -464,6 +464,14 @@ def test_polynomial_printing():
     assert LaurentPolynomial({-1: 1, 5: 1}).latex() == "T^{-1}+T^5"
 
 
+def test_polynomial_refuses_non_integer_terms():
+    # {1.5: 2, -1: 2.9} once printed 2T^-1 + 2T
+    for coeffs in ({1.5: 2, -1: 2.9}, {1: 2.9}, {"1": 2}, {1: Fraction(1, 2)}):
+        with pytest.raises(ValueError, match="must be integers"):
+            LaurentPolynomial(coeffs)
+    assert LaurentPolynomial({1: 2, 3: 0}) == LaurentPolynomial({1: 2})
+
+
 def test_polynomial_algebra():
     p = LaurentPolynomial({1: 1, 3: 2})
     assert p.coeff(3) == 2 and p.coeff(100) == 0
