@@ -431,9 +431,10 @@ def _random_seifert(rng: random.Random, max_m: int = 3) -> SeifertData:
 
 
 #: verify eta-consistency checks the series on its first SERIES_CASES
-#: cases: at s = 0 against the exact eta(0), and at a seeded non-integer s
-#: at SERIES_DIGITS digits, few enough that numkernel.hurwitz_sum takes
-#: its Taylor-moment route on every s with more than two keys.
+#: cases: at s = 0 for equality with the exact eta(0), on the pullback and
+#: the flat context, and at a seeded non-integer s at SERIES_DIGITS
+#: digits, few enough that numkernel.hurwitz_sum takes its Taylor-moment
+#: route on every s with more than two keys.
 SERIES_CASES = 5
 SERIES_DIGITS = 15
 
@@ -494,7 +495,7 @@ def _verify_eta_consistency(seed: int, cases: int) -> Optional[str]:
             return f"case {i}: Dedekind and closed-form flat eta(0) differ on {N} with {L}"
         if i >= SERIES_CASES:
             continue
-        if not eta_mod.eta_series(flat, 0, 30).within(exact, Fraction(1, 10**26)):
+        if not all(eta_mod.eta_series(c, 0, 30).within(x, 0) for c, x in ((ctx, eta0), (flat, exact))):
             return f"case {i}: series at s=0 drifts from exact eta(0) on {N}"
         s = _seeded_s(s_rng)
         if not _series_matches_per_key_sum(flat, s, SERIES_DIGITS):

@@ -1,13 +1,10 @@
-"""Integer fixed-point primitives of the numeric layer: powers, decimal
-printing and correct rounding, on Python integers alone.
+"""Integer fixed-point primitives of the numeric layer: powers and
+correctly rounded decimal printing, on Python integers alone.
 
     power(n, d, s, F)        (n/d)^(-s) in units of 2^-F, with a count of
                              units that bounds its error
-    to_str(man, exp, dps)    man 2^exp correctly rounded to dps digits, in
+    to_str(num, den, dps)    num/den correctly rounded to dps digits, in
                              the notation of mp.nstr, at any magnitude
-    round_rational(n, d, p)  n/d rounded to nearest at p bits, ties to even
-    DyadicSum                an exact sum of dyadics man 2^exp and the
-                             bound on its error
 
 For s = sn/sd with sd <= ROOT_MAX_DENOMINATOR, power is the exact integer
 sd-th root of the rational power,
@@ -46,52 +43,6 @@ def ceil_shift(num: int, den: int, shift: int) -> int:
     return -floor_shift(-num, den, shift)
 
 
-class DyadicSum:
-    """An exact dyadic sum man 2^exp and the bound err 2^exp on its error."""
-
-    __slots__ = ("man", "err", "exp")
-
-    def __init__(self):
-        self.man = self.err = self.exp = 0
-
-    def add(self, man: int, err: int, exp: int) -> None:
-        """Add man 2^exp, known within err 2^exp."""
-        if exp < self.exp:
-            shift = self.exp - exp
-            self.man, self.err, self.exp = self.man << shift, self.err << shift, exp
-        else:
-            man, err = man << (exp - self.exp), err << (exp - self.exp)
-        self.man += man
-        self.err += err
-
-    def add_rational(self, x: Fraction) -> None:
-        """Add x, floored to the finest unit added so far."""
-        if x:
-            self.add(floor_shift(x.numerator, x.denominator, -self.exp), 1, self.exp)
-
-
-def round_rational(num: int, den: int, prec: int) -> Tuple[int, int]:
-    """num/den (den > 0) rounded to nearest at prec bits, ties to even,
-    as (man, exp): what mpmath's round_nearest gives for one exact
-    operation."""
-    if not num:
-        return 0, 0
-    a = abs(num)
-    e = a.bit_length() - den.bit_length() - prec
-    n, d = (a, den << e) if e >= 0 else (a << -e, den)
-    if n >= d << prec:
-        d, e = d << 1, e + 1
-    q, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and q & 1):
-        q += 1
-    return (q if num > 0 else -q), e
-
-
-def dps_to_prec(dps: int) -> int:
-    """Bits for dps decimal digits, as mpmath's workdps sets them."""
-    return max(1, int(round((dps + 1) * 3.3219280948873626)))
-
-
 def _numeral(n: int) -> str:
     """The decimal digits of n >= 0: str below about 250 digits, else the
     two halves of a division by a power of ten, which keeps clear of
@@ -104,19 +55,19 @@ def _numeral(n: int) -> str:
     return _numeral(high) + _numeral(low).rjust(half, "0")
 
 
-def to_str(man: int, exp: int, dps: int) -> str:
-    """man 2^exp rounded to dps >= 1 significant digits, ties away from
-    zero, in mpmath's notation: fixed for a leading digit at 10^e with
+def to_str(num: int, den: int, dps: int) -> str:
+    """num/den (den > 0) rounded to dps >= 1 significant digits, ties away
+    from zero, in mpmath's notation: fixed for a leading digit at 10^e with
     min(-(dps//3), -5) < e < dps, trailing zeros stripped, x.0 for an
     integer.
 
-    With |man| 2^exp = num/den, e starts from the float log10 and is
-    settled by the exact quotient q = floor(num 10^(dps-1-e) / den), which
-    must have dps digits; q is then rounded half up on its remainder."""
-    if not man:
+    e starts from the float log10 and is settled by the exact quotient
+    q = floor(|num| 10^(dps-1-e) / den), which must have dps digits; q is
+    then rounded half up on its remainder."""
+    if not num:
         return "0.0"
-    sign = "-" if man < 0 else ""
-    num, den = (abs(man) << exp, 1) if exp >= 0 else (abs(man), 1 << -exp)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     e = floor(log10(num) - log10(den))
     low = 10 ** (dps - 1)
     while True:

@@ -7,8 +7,9 @@ Exact layer (fractions.Fraction throughout):
     psi2(x)  second Bernoulli polynomial evaluated on {x}:
              B2(z) = z^2 - z + 1/6
 
-Numeric layer (integer fixed point; a BigFloat is a dyadic value with an
-explicit decimal-digit precision and a carried absolute error estimate):
+Numeric layer (integer fixed point; a BigFloat is an exact rational value
+with an explicit decimal-digit precision and a carried absolute error
+estimate eps, 0 for an exact value):
 
     hurwitz_zeta(s, a)    zeta(s, a) = sum_{n>=0} (n + a)^(-s), a > 0
                           rational, by one Euler-Maclaurin pass; exact at
@@ -31,8 +32,8 @@ At an integer s = -n <= 0 both zeta operations are exact,
 with B_m the Bernoulli polynomials.  hurwitz_sum sums the rows of such
 an s from the signed moments below, as B_m(1/2 + h) = sum C(m, j)
 B_(m-j)(1/2) h^j over j = m mod 2 (m = n + 1): at an odd n only the even
-moments enter, which vanish on signed pairs.  When every s is of this
-kind the exact sum is rounded once.
+moments enter, which vanish on signed pairs.  Such values are exact,
+with eps 0, and print their correctly rounded digits.
 
 Powers.  seifinv.fixedpoint.power(n, d, s, F) returns (n/d)^(-s) in
 units of 2^-F, with a count of units that bounds its error: the exact
@@ -109,8 +110,10 @@ point 2^-G with G = F of the centre pass,
     and one unit for the floor of the product;
 
 and each total over one p is scaled by p^-s / Q at a precision whose own
-rounding stays below 2^-15 of that total's.  These are counts of integer
-roundings, not a proof (ROADMAP item 6).
+rounding stays below 2^-15 of that total's.  The scaled totals, values
+and eps alike, and the exact sums of any integer s <= 0 are added as
+exact rationals.  These are counts of integer roundings, not a proof
+(ROADMAP item 6).
 
 tests/test_numkernel.py checks the power routine against mpmath over a
 seeded corpus of bases, exponents and fixed points, every shift of the
@@ -129,15 +132,7 @@ from functools import lru_cache
 from math import ceil, comb, gcd, inf, log2, log10, pi
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from seifinv.fixedpoint import (
-    DyadicSum,
-    ceil_shift,
-    dps_to_prec,
-    floor_shift,
-    power,
-    round_rational,
-    to_str,
-)
+from seifinv.fixedpoint import ceil_shift, floor_shift, power, to_str
 
 if TYPE_CHECKING:
     import mpmath
@@ -185,49 +180,43 @@ def psi2(x: Rational) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# BigFloat: dyadic numbers man 2^exp with integer man and exp
+# BigFloat: an exact rational value and its error estimate
 
 
-def _normal(man: int, exp: int) -> Tuple[int, int]:
-    """The one (man, exp) of a dyadic with odd man, (0, 0) for zero."""
-    if not man:
-        return 0, 0
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
-
-
-def _round_up(man: int, exp: int, bits: int = 64) -> Tuple[int, int]:
-    """A dyadic >= man 2^exp >= 0 with at most bits bits of mantissa."""
-    shift = man.bit_length() - bits
-    return (man, exp) if shift <= 0 else (-(-man >> shift), exp + shift)
-
-
-def _mpf(man: int, exp: int) -> mpmath.mpf:
-    """man 2^exp as an mpmath mpf, exactly; mpmath is imported here only."""
+def _mpf(x: Fraction) -> mpmath.mpf:
+    """x as an mpmath mpf: exact for a dyadic x, else rounded to nearest at
+    the working precision.  mpmath is imported here only."""
     from mpmath import mp
-    from mpmath.libmp import from_man_exp
+    from mpmath.libmp import from_man_exp, from_rational
 
-    return mp.make_mpf(from_man_exp(man, exp))
+    n, d = x.numerator, x.denominator
+    if d & (d - 1):
+        return mp.make_mpf(from_rational(n, d, mp.prec, "n"))
+    return mp.make_mpf(from_man_exp(n, 1 - d.bit_length()))
+
+
+def _fixed(n: int, F: int) -> Fraction:
+    """n 2^-F, for any integer F."""
+    return Fraction(n, 1 << F) if F >= 0 else Fraction(n << -F)
 
 
 class BigFloat:
-    """A dyadic number man 2^exp tagged with its decimal precision and an
-    absolute error estimate eps, also dyadic and rounded up.
+    """An exact rational value tagged with its decimal precision and an
+    absolute error estimate eps >= 0, also rational: 0 for an exact value.
 
     ``digits`` is the precision every producing operation was asked for;
     ``eps`` estimates |value - exact| from the counted roundings (see the
     module docstring); it is not a rigorous bound.  str, float, equality
-    and ``within`` are integer code; ``value`` and ``eps`` are exact
-    mpmath views for oracle code, built (and mpmath imported) on each read.
+    and ``within`` are exact rational code; ``value`` and ``eps`` are
+    mpmath views for oracle code, exact for a dyadic value, built (and
+    mpmath imported) on each read.
     """
 
     # read-only fields, but not a tuple: a number must not unpack or serialise as a JSON array
-    __slots__ = ("_man", "_exp", "_digits", "_eman", "_eexp")
+    __slots__ = ("_value", "_digits", "_eps")
 
-    def __init__(self, man: int, exp: int, digits: int, err: int, eexp: int):
-        """man 2^exp with eps = err 2^eexp, err >= 0 rounded up to 64 bits."""
-        self._man, self._exp, self._digits = man, exp, digits
-        self._eman, self._eexp = _round_up(err, eexp)
+    def __init__(self, value: Rational, digits: int, eps: Rational):
+        self._value, self._digits, self._eps = Fraction(value), digits, Fraction(eps)
 
     @property
     def digits(self) -> int:
@@ -235,14 +224,14 @@ class BigFloat:
 
     @property
     def value(self) -> mpmath.mpf:
-        return _mpf(self._man, self._exp)
+        return _mpf(self._value)
 
     @property
     def eps(self) -> mpmath.mpf:
-        return _mpf(self._eman, self._eexp)
+        return _mpf(self._eps)
 
     def _key(self):
-        return (*_normal(self._man, self._exp), self._digits, *_normal(self._eman, self._eexp))
+        return self._value, self._digits, self._eps
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -256,34 +245,19 @@ class BigFloat:
         return f"BigFloat(value={self.value!r}, digits={self._digits!r}, eps={self.eps!r})"
 
     def __str__(self) -> str:
-        return f"{to_str(self._man, self._exp, self._digits)}@{self._digits}"
+        x = self._value
+        return f"{to_str(x.numerator, x.denominator, self._digits)}@{self._digits}"
 
     def __float__(self) -> float:
         """Rounded to nearest; +-inf past the float range, as mpmath gives."""
-        man, exp = self._man, self._exp
         try:
-            return float(man << exp) if exp >= 0 else man / (1 << -exp)
+            return float(self._value)
         except OverflowError:
-            return inf if man > 0 else -inf
+            return inf if self._value > 0 else -inf
 
     def within(self, x: Rational, tol: Rational) -> bool:
         """|value - x| <= tol, exactly."""
-        man, exp = self._man, self._exp
-        value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-        return abs(value - x) <= tol
-
-
-def bigfloat_from_rational(x: Rational, precision: int = 30) -> BigFloat:
-    """x rounded to nearest at precision + 15 working digits, as mpmath
-    rounds mpf(numerator) / denominator there; eps = 10^-(precision+12) |x|,
-    rounded up, covers the rounding (and is 0 for x = 0, which is exact)."""
-    x = Fraction(x)
-    prec = dps_to_prec(precision + _GUARD_DIGITS)
-    man, exp = round_rational(x.numerator, 1, prec)
-    man, e = round_rational(man, x.denominator, prec)
-    den = 10 ** (precision + _GUARD_DIGITS - 3)
-    shift = 64 - abs(man).bit_length() + den.bit_length()
-    return BigFloat(man, exp + e, precision, ceil_shift(abs(man), den, shift), exp + e - shift)
+        return abs(self._value - x) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +351,17 @@ def _em_coefficients(M: int, P: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[BigFloat]:
-    """zeta(s + step i, a) for i < J, from one Euler-Maclaurin pass over
-    the rational a = p/q > 0 (module docstring).
+def _em_shifts(
+    s, a: Rational, J: int, precision: int, step: int = 1
+) -> Tuple[int, List[Tuple[int, int]]]:
+    """(F, [(v, e)]): zeta(s + step i, a) = v 2^-F with eps e 2^-F for
+    i < J, from one Euler-Maclaurin pass over the rational a = p/q > 0
+    (module docstring).
 
     The N + 1 powers (k + a)^-s, k <= N, come from fixedpoint.power in
     units of 2^-F; every later shift multiplies them by (q / (qk + p))^step
-    in integer fixed point.  Each value is its exact fixed-point sum; its eps
-    is the remainder bound at its shift plus its count of fixed-point
-    roundings times 2^-F."""
+    in integer fixed point.  Each v is its exact fixed-point sum; e is the
+    remainder bound at its shift plus its count of fixed-point roundings."""
     s, a = Fraction(s), Fraction(a)
     p, q = a.numerator, a.denominator
     sn, sd = s.numerator, s.denominator
@@ -486,20 +462,20 @@ def _em_shifts(s, a: Rational, J: int, precision: int, step: int = 1) -> List[Bi
         count += (size >> (Pc - 1)) + Mi
         # the remainder bound 2^bound, in units of 2^-F rounded up
         remainder = 1 << max(ceil(bound + 1e-6) + F, 0)
-        out.append(BigFloat(total, -F, precision, ceil(count) + pole + remainder, -F))
+        out.append((total, ceil(count) + pole + remainder))
         if i + 1 < J:
             powers = [t * qs // d for t, d in zip(powers, dens)]
             tX = tX * qs // xs
-    return out
+    return F, out
 
 
 def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     """zeta(s, a) = sum_{n>=0} (n + a)^(-s) for a > 0, s != 1.
 
     a must be rational.  At an integer s <= 0 the value is the exact
-    -B_{1-s}(a) / (1 - s); elsewhere it is one Euler-Maclaurin pass,
-    _em_shifts(s, a, 1, precision)[0], aimed at 10^-(precision+15) times
-    max(1, a^-s) for s > 1 and absolute otherwise.  eps is Johansson's
+    -B_{1-s}(a) / (1 - s), with eps 0; elsewhere it is one Euler-Maclaurin
+    pass, _em_shifts(s, a, 1, precision), aimed at 10^-(precision+15)
+    times max(1, a^-s) for s > 1 and absolute otherwise.  eps is Johansson's
     remainder bound plus the pass's counted fixed-point roundings (module
     docstring).  eps is checked against mpmath's independent rational-a
     route over a tested corpus.
@@ -512,10 +488,11 @@ def hurwitz_zeta(s, a: Rational, precision: int = 30) -> BigFloat:
     if _nonpositive_integer(s):
         # a = 1/2 + (2 num - den) / (2 den) as a one-key row
         row = [(2 * a.numerator - a.denominator, 1, 0)]
-        return bigfloat_from_rational(_exact_sum(-int(s), 1, 2 * a.denominator, 1, row), precision)
+        return BigFloat(_exact_sum(-int(s), 1, 2 * a.denominator, 1, row), precision, 0)
     if abs(Fraction(s) - 1) < Fraction(1, 10**precision):
         raise ValueError("hurwitz_zeta: s too close to the pole at s = 1")
-    return _em_shifts(s, a, 1, precision)[0]
+    F, [(v, e)] = _em_shifts(s, a, 1, precision)
+    return BigFloat(_fixed(v, F), precision, _fixed(e, F))
 
 
 def riemann_zeta(s, precision: int = 30) -> BigFloat:
@@ -561,12 +538,6 @@ def _taylor_length(s, digits: int) -> Tuple[int, float]:
         j += 1
 
 
-def _eps_units(z: BigFloat) -> int:
-    """z's eps in units of its value's last place, rounded up."""
-    shift = z._eexp - z._exp
-    return z._eman << shift if shift >= 0 else -(-z._eman >> -shift)
-
-
 #: One row set of hurwitz_sum, (D, Q, {U: (W+, W-)}): the keys
 #: a = 1/2 + U/D with weight W+/Q and a = 1/2 - U/D with weight W-/Q.
 Rows = Tuple[int, int, Mapping[int, Sequence[int]]]
@@ -582,8 +553,10 @@ def _keys(D: int, rows: List[Tuple[int, int, int]]) -> Iterator[Tuple[int, int, 
                 yield n // g, d // g, w
 
 
-def _group_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, acc: DyadicSum) -> None:
-    """Add the sum over the row sets p -> (D, Q, rows) of one s to acc.
+def _group_sum(
+    s, parts: Mapping[int, Tuple[int, int, list]], precision: int
+) -> Tuple[Fraction, Fraction]:
+    """(value, eps) of the sum over the row sets p -> (D, Q, rows) of one s.
 
     Each p is one bracket in units of 2^-G, G the F of the centre pass,
     scaled by p^-s / Q.  The bracket sums the moment expansion (module
@@ -614,17 +587,20 @@ def _group_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, ac
             cn.append(-cn[-1] * (sn + (j - 1) * sd))
             cd.append(cd[-1] * j * sd)
         step = 2 if even != odd else 1
-        centre = dict(zip(orders, _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)))
+        F, zs = _em_shifts(s + orders[0], _CENTRE, len(orders), precision, step)
+        centre = dict(zip(orders, zs))
         # the tail past J, 2 10^log_tail per unit of weight, in units of
         # 2^-G: tn / td exactly, so that it scales a weight sum of any size
         tn, td = (2.0 ** (log_tail * _LOG2_10 + G + 1)).as_integer_ratio()
+    value = eps = Fraction(0)
     for p, (D, Q, rows) in parts.items():
         part = err = 0
         if values:
             for n, d, W in _keys(D, rows):
                 z = values[n, d]
-                part += floor_shift(W * z._man, 1, z._exp + G)
-                err += 1 + ceil_shift(abs(W) * _eps_units(z), 1, z._exp + G)
+                v, e = z._value, z._eps
+                part += floor_shift(W * v.numerator, v.denominator, G)
+                err += 1 + ceil_shift(abs(W) * e.numerator, e.denominator, G)
         else:
             # exact integer moments of h = +-U/D, weights over Q
             signed, magnitude = _moments(rows, orders, step)
@@ -636,14 +612,16 @@ def _group_sum(s, parts: Mapping[int, Tuple[int, int, list]], precision: int, ac
                 part += W * (h0 + h1)
                 err += abs(W) * (e0 + e1)
             for j in orders:
-                z, den = centre[j], cd[j] * D**j
-                part += floor_shift(cn[j] * signed[j] * z._man, den, z._exp + G)
-                err += 1 + ceil_shift(abs(cn[j]) * magnitude[j] * _eps_units(z), den, z._exp + G)
+                (v, e), den = centre[j], cd[j] * D**j
+                part += floor_shift(cn[j] * signed[j] * v, den, G - F)
+                err += 1 + ceil_shift(abs(cn[j]) * magnitude[j] * e, den, G - F)
         # p^-s with 16 bits more than the bracket over Q, so its rounding
         # stays below 2^-15 of the bracket's; the product is floored once
         Gs = 16 + part.bit_length() + Q.bit_length() + max(0, ceil(float(s) * log2(p)))
         c, ec = power(p, 1, s, Gs)
-        acc.add((part * c) // Q, 1 + ceil_shift(abs(part) * ec + (c + ec) * err, Q, 0), -(G + Gs))
+        value += _fixed((part * c) // Q, G + Gs)
+        eps += _fixed(1 + ceil_shift(abs(part) * ec + (c + ec) * err, Q, 0), G + Gs)
+    return value, eps
 
 
 def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 30) -> BigFloat:
@@ -655,10 +633,10 @@ def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 
     s share the centre values of one Euler-Maclaurin pass, unless their
     distinct a are few and no p's weights sum to zero: then each costs one
     hurwitz_zeta call.  Signed pairs are therefore summed at s = 1 too.
-    The value is an exact dyadic sum of fixed-point products; eps sums
-    their counted roundings, the centre values' own eps, the explicit
-    truncation tail, and the per-value eps of keys evaluated one by one
-    (module docstring).
+    The value is the exact sum of the exact rows and of the fixed-point
+    products of the others; eps sums the products' counted roundings, the
+    centre values' own eps, the explicit truncation tail, and the
+    per-value eps of keys evaluated one by one (module docstring).
     """
     groups: Dict[object, Dict[int, Tuple[int, int, list]]] = {}
     for s, parts in series.items():
@@ -671,13 +649,11 @@ def hurwitz_sum(series: Mapping[Rational, Mapping[int, Rows]], precision: int = 
                     raise ValueError(f"hurwitz_sum requires 0 < a <= 1, got a = 1/2 +- {U}/{D}")
             if kept:
                 groups.setdefault(s, {})[p] = (D, Q // g, kept)
-    exact = Fraction(0)
-    for s in [s for s in groups if _nonpositive_integer(s)]:
-        exact += sum(_exact_sum(-int(s), p, *part) for p, part in groups.pop(s).items())
-    if not groups:
-        return bigfloat_from_rational(exact, precision)
-    acc = DyadicSum()
+    value = eps = Fraction(0)
     for s, parts in groups.items():
-        _group_sum(s, parts, precision, acc)
-    acc.add_rational(exact)
-    return BigFloat(acc.man, acc.exp, precision, acc.err, acc.exp)
+        if _nonpositive_integer(s):
+            value += sum(_exact_sum(-int(s), p, *part) for p, part in parts.items())
+        else:
+            v, e = _group_sum(s, parts, precision)
+            value, eps = value + v, eps + e
+    return BigFloat(value, precision, eps)

@@ -617,23 +617,21 @@ def test_ignored_option_exit_2(capsys, argv, message):
     assert errors == [f"seifinv: error: {message}"]
 
 
-def _bigfloat(value, digits, eps):
-    """The BigFloat of the finite mpmath numbers value and eps >= 0, exactly."""
-    man, exp = value.man_exp
-    return BigFloat(-man if value < 0 else man, exp, digits, *eps.man_exp)
-
-
-@pytest.mark.parametrize("shift, passes", [("5e-27", True), ("2e-26", False)])
-def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, passes):
-    # the series at s = 0 may drift from the exact eta(0) by 10^-26, no more
+@pytest.mark.parametrize(
+    "shift, rho_zero, passes",
+    [(0, True, True), (Fraction(1, 10**400), True, False), (-Fraction(1, 10**400), False, False)],
+    ids=["unshifted", "pullback", "flat"],
+)
+def test_verify_eta_consistency_drift_tolerance(capsys, monkeypatch, shift, rho_zero, passes):
+    # the series at s = 0 is the exact eta(0): a shift of 10^-400 fails on
+    # case 0's pullback context (rho = 0) and on its flat one (rho = 11/42)
     series = eta_mod.eta_series
 
     def shifted(ctx, s, precision=30):
         v = series(ctx, s, precision)
-        if s != 0:
+        if s != 0 or (ctx.rho == 0) != rho_zero:
             return v
-        with mpmath.workdps(precision + 15):
-            return _bigfloat(v.value + mpmath.mpf(shift), v.digits, v.eps)
+        return BigFloat(v._value + shift, v.digits, v._eps)
 
     monkeypatch.setattr(eta_mod, "eta_series", shifted)
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")
@@ -658,8 +656,7 @@ def test_verify_eta_consistency_checks_series_off_zero(capsys, monkeypatch):
         v = series(ctx, s, precision)
         if s == 0:
             return v
-        with mpmath.workdps(precision + 15):
-            return _bigfloat(v.value + 100 * v.eps, v.digits, v.eps)
+        return BigFloat(v._value + 100 * v._eps, v.digits, v._eps)
 
     monkeypatch.setattr(eta_mod, "eta_series", shifted)
     code, out = run(capsys, "verify", "eta-consistency", "--cases", "5")

@@ -1,5 +1,6 @@
 """Eta invariants: exact values, dual-route identities, series consistency."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -38,7 +39,7 @@ from seifinv.orbifold import (
     trivial_bundle,
 )
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
-from tests.test_numkernel import _count_centre_passes, _count_hurwitz_calls, term_rows
+from tests.test_numkernel import _bernoulli_recurrence, _count_centre_passes, _count_hurwitz_calls, term_rows
 
 
 def _exact_mpf(x: Fraction):
@@ -219,8 +220,7 @@ def test_series_matches_exact_at_zero():
                 eta_zero_pullback(ctx) if ctx.rho == 0 else eta_zero_flat(ctx)
             )
             got = eta_series(ctx, 0, 30)
-            with mp.workdps(45):
-                assert abs(got.value - _exact_mpf(exact)) < mp.mpf(10) ** -26
+            assert got.within(exact, 0) and got.eps == 0, (N, L, ctx.rho)
 
 
 def test_series_smooth_base_closed_form():
@@ -252,6 +252,29 @@ def _series_terms(ctx, s):
             x = frac(Fraction(k + rho, a))
             terms += [(s, a, x, -w), (s, a, 1 - x, w)]
     return terms + [(s - 1, 1, rho, -N.ell), (s - 1, 1, 1 - rho, -N.ell)]
+
+
+def test_series_at_negative_integers_is_the_bernoulli_sum():
+    # eta(-n) = sum w p^-s' zeta(s', a) over the written terms, each
+    # zeta(-m, a) = -B_(m+1)(a) / (m + 1) from the recurrence's Bernoulli
+    # numbers: exact, on flat, pullback and genus > 0 contexts
+    bernoulli = _bernoulli_recurrence(8)
+
+    def zeta(m, a):
+        return -sum(math.comb(m + 1, k) * bernoulli[k] * a ** (m + 1 - k) for k in range(m + 2)) / (m + 1)
+
+    rng = random.Random(59)
+    genera = set()
+    for _ in range(8):
+        N = _random_seifert(rng)
+        genera.add(N.base.genus)
+        L = VLineBundle(N.base, rng.randint(-2, 2), tuple(rng.randrange(a) for a in N.alphas))
+        for ctx in (pullback_context(N, L), flat_context(N, L)):
+            for n in range(1, 7):
+                want = sum(w * Fraction(p) ** -s1 * zeta(-s1, a) for s1, p, a, w in _series_terms(ctx, -n))
+                got = eta_series(ctx, -n, 20)
+                assert got.within(want, 0) and got.eps == 0, (N, L, ctx.rho, n)
+    assert max(genera) > 0
 
 
 def _canonical(series):
@@ -298,16 +321,16 @@ def test_series_rows_match_merged_term_oracle():
             assert _canonical(series_rows(ctx, s)) == _canonical(term_rows(_merged(ctx, s))), (ctx, s)
 
 
-def _series_oracle(ctx, s, digits):
+def _series_oracle(ctx, s, digits, extra=0):
     """Term-by-term eta(s), each zeta(s', a) by mpmath's rational-a route
-    mp.zeta(s', (p, q)) at 2 digits + 20.  For s in (-1, 2), where s' or
-    the 1 - s' of mpmath's reflection nears the pole at 1, it adds the
-    digits of the denominator of s, which bound the residues 1/(s' - 1)
-    that cancel.  At s' = 1 it takes the constant Laurent term -psi(a):
-    the weights of each p sum to zero, so the residues and the -log p
-    terms of p^-s' cancel."""
+    mp.zeta(s', (p, q)) at 2 digits + 20 + extra digits.  For s in (-1, 2),
+    where s' or the 1 - s' of mpmath's reflection nears the pole at 1, it
+    adds the digits of the denominator of s, which bound the residues
+    1/(s' - 1) that cancel.  At s' = 1 it takes the constant Laurent term
+    -psi(a): the weights of each p sum to zero, so the residues and the
+    -log p terms of p^-s' cancel."""
     s = Fraction(s)
-    with mp.workdps(2 * digits + 20 + (-1 < s < 2) * len(str(s.denominator))):
+    with mp.workdps(2 * digits + 20 + extra + (-1 < s < 2) * len(str(s.denominator))):
         total = mp.mpf(0)
         for s1, p, a, w in _series_terms(ctx, s):
             if w:
@@ -377,11 +400,15 @@ def test_series_eps_covers_error_against_term_oracle():
 @pytest.mark.parametrize("triple, s", [((2, 3, 5), 200), ((2, 3, 7), 1000), ((3, 5, 7), Fraction(401, 2))])
 def test_series_at_large_s_against_term_oracle(triple, s):
     # s far past the poles, where the exact integer root of each a^-s
-    # takes a negative shift
+    # takes a negative shift.  The terms reach (p a)^-s, up to 10^302, so
+    # the oracle carries their digits on top of its relative precision
     ctx = trivial_flat_context(brieskorn(*triple))
-    got = eta_series(ctx, Fraction(s), 30)
-    with mp.workdps(80):
-        err = abs(got.value - _series_oracle(ctx, Fraction(s), 30))
+    s = Fraction(s)
+    top = max(math.log10(abs(w)) - s1 * math.log10(p * a) for s1, p, a, w in _series_terms(ctx, s) if w)
+    extra = math.ceil(top)
+    got = eta_series(ctx, s, 30)
+    with mp.workdps(80 + extra):
+        err = abs(got.value - _series_oracle(ctx, s, 30, extra))
         assert err <= got.eps, (triple, s, err, got.eps)
 
 

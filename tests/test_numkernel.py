@@ -53,24 +53,22 @@ def test_sawtooth_properties():
 
 
 def test_hurwitz_closed_forms_at_special_points():
+    # zeta(0, a) = 1/2 - a and zeta(-1, a) = -1/12 + a (1 - a) / 2, exactly
     rng = random.Random(5)
     for _ in range(50):
         a = Fraction(rng.randint(1, 24), 24)
         z0 = hurwitz_zeta(0, a, 30)
         z1 = hurwitz_zeta(-1, a, 30)
-        with mp.workdps(45):
-            want0 = mp.mpf((Fraction(1, 2) - a).numerator) / (Fraction(1, 2) - a).denominator
-            e1 = Fraction(-1, 12) + a * (1 - a) / 2
-            want1 = mp.mpf(e1.numerator) / e1.denominator
-            assert abs(z0.value - want0) < mp.mpf(10) ** -28
-            assert abs(z1.value - want1) < mp.mpf(10) ** -28
+        assert z0.within(Fraction(1, 2) - a, 0) and z0.eps == 0, a
+        assert z1.within(Fraction(-1, 12) + a * (1 - a) / 2, 0) and z1.eps == 0, a
         # zeta(-n, a) = -B_{n+1}(a) / (n + 1), against mpmath's Bernoulli
         # polynomials at 60 digits
         for n in (2, 3, 7):
             z = hurwitz_zeta(-n, a, 30)
             with mp.workdps(60):
                 want = -mp.bernpoly(n + 1, mp.mpf(a.numerator) / a.denominator) / (n + 1)
-                assert abs(z.value - want) <= z.eps + mp.mpf(10) ** -45 * abs(want), (n, a)
+                assert abs(z.value - want) <= mp.mpf(10) ** -45 * abs(want), (n, a)
+            assert z.eps == 0, (n, a)
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), 2, 3, Fraction(-1, 2), Fraction(5, 2)])
@@ -155,15 +153,16 @@ def test_em_shifts_eps_covers_error_against_rational_route():
     # 2 digits + 20: the reflection formula for s < 0, mpmath's own
     # Euler-Maclaurin code for s > 0
     for s, a, J, step, digits in _shift_corpus():
-        got = numkernel._em_shifts(s, a, J, digits, step)
+        F, got = numkernel._em_shifts(s, a, J, digits, step)
         assert len(got) == J
-        for i, z in enumerate(got):
+        for i, (v, e) in enumerate(got):
             sigma = s + step * i
             with mp.workdps(2 * digits + 20):
                 ref = mp.zeta(_mpf(sigma), (a.numerator, a.denominator))
-                assert abs(z.value - ref) <= z.eps, (s, a, J, step, digits, i)
+                value, eps = mp.ldexp(v, -F), mp.ldexp(e, -F)
+                assert abs(value - ref) <= eps, (s, a, J, step, digits, i)
                 # and eps is an error estimate, not a blanket 10^-digits
-                assert z.eps <= mp.mpf(10) ** -(digits + 12) * max(1, abs(ref)), (s, a, digits, i)
+                assert eps <= mp.mpf(10) ** -(digits + 12) * max(1, abs(ref)), (s, a, digits, i)
 
 
 def _bernoulli_recurrence(m):
@@ -443,6 +442,22 @@ def test_integer_root_is_the_floor():
         assert y**k <= x < (y + 1) ** k, (x, k)
 
 
+def _round_rational(num, den, prec):
+    """num/den (den > 0) rounded to nearest at prec bits, ties to even, as
+    (man, exp)."""
+    if not num:
+        return 0, 0
+    a = abs(num)
+    e = a.bit_length() - den.bit_length() - prec
+    n, d = (a, den << e) if e >= 0 else (a << -e, den)
+    if n >= d << prec:
+        d, e = d << 1, e + 1
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return (q if num > 0 else -q), e
+
+
 def _dyadic_corpus():
     """(man, exp, digits): 0, signed mantissas of 1-400 bits at magnitudes
     10^-60..10^60 (both sides of mpmath's fixed-notation window), exact
@@ -463,7 +478,7 @@ def _dyadic_corpus():
         k, nines = rng.randint(1, 40), rng.randint(1, 60)
         head = rng.randint(10 ** (k - 1), 10**k - 1) if rng.random() < 0.7 else 10**k - 1
         x = Fraction(head * 10**nines + 10**nines - 1, 10 ** rng.randint(0, 120))
-        man, exp = fixedpoint.round_rational(x.numerator, x.denominator, rng.randint(60, 500))
+        man, exp = _round_rational(x.numerator, x.denominator, rng.randint(60, 500))
         cases.append((man, exp, rng.randint(max(1, k - 1), min(100, k + nines + 2))))
     while len(cases) < 2500:
         # leading bit at 2^+-(3500 + d): mpmath first divides by 10^b there
@@ -478,7 +493,7 @@ def _dyadic_corpus():
         h = rng.randint(10**digits, 10 ** (digits + 1) - 1) // 10 * 10 + 5
         k = rng.choice((1, -1)) * rng.randint(1060, 1600) - digits
         x = Fraction(h) * Fraction(10) ** k
-        man, exp = fixedpoint.round_rational(x.numerator, x.denominator, rng.randint(60, 500))
+        man, exp = _round_rational(x.numerator, x.denominator, rng.randint(60, 500))
         cases.append((man + rng.choice((-1, 0, 1)), exp, digits))
     for digits in (4299, 4400):
         # past Python's limit on str of an int
@@ -487,26 +502,56 @@ def _dyadic_corpus():
     return cases
 
 
+def _decimal_ties():
+    """(h, k, digits): the exact decimal ties h 10^k, h of digits + 1
+    digits ending in 5, both signs, at magnitudes 10^-60..10^60 and beyond
+    2^+-3500; none of them is dyadic."""
+    rng = random.Random(7)
+    cases = []
+    for top in [60] * 150 + [1600] * 150:
+        digits = rng.randint(1, 30)
+        h = rng.randint(10**digits, 10 ** (digits + 1) - 1) // 10 * 10 + 5
+        k = rng.randint(-top, top) if top == 60 else rng.choice((1, -1)) * rng.randint(1060, top) - digits
+        cases.append((h * rng.choice((1, -1)), k, digits))
+    return cases
+
+
 def test_bigfloat_str_is_correctly_rounded():
     # the printed digits are the exact value rounded half away from zero;
-    # wherever mp.nstr rounds correctly too, the bytes are its bytes.  It
-    # misrounds only some of the near-ties beyond 2^+-3500, where it
-    # divides by a rounded 10^b (2609 of the 2702 cases agree)
+    # wherever mp.nstr rounds a dyadic correctly too, the bytes are its
+    # bytes.  It misrounds only some of the near-ties beyond 2^+-3500,
+    # where it divides by a rounded 10^b (2609 of the 2702 cases agree)
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    agreed = 0
-    for man, exp, digits in _dyadic_corpus():
-        x = BigFloat(man, exp, digits, 0, 0)
-        text, at = str(x).split("@")
-        value = Decimal(man << exp) if exp >= 0 else exact.scaleb(Decimal(man * 5**-exp), exp)
+
+    def check(x, value, digits):
+        text, at = str(BigFloat(x, digits, 0)).split("@")
         rounded = exact.copy()
         rounded.prec, rounded.rounding = digits, decimal.ROUND_HALF_UP
         want = rounded.plus(value)
-        assert at == str(digits) and Decimal(text) == want, (man, exp, digits, text, want)
-        theirs = mp.nstr(x.value, digits)
+        assert at == str(digits) and Decimal(text) == want, (x, digits, text, want)
+        return text, want
+
+    agreed = 0
+    for man, exp, digits in _dyadic_corpus():
+        value = Decimal(man << exp) if exp >= 0 else exact.scaleb(Decimal(man * 5**-exp), exp)
+        x = numkernel._fixed(man, -exp)
+        text, want = check(x, value, digits)
+        theirs = mp.nstr(BigFloat(x, digits, 0).value, digits)
         if Decimal(theirs) == want:
             agreed += 1
             assert text == theirs, (man, exp, digits)
     assert agreed >= 2600, agreed
+    for h, k, digits in _decimal_ties():
+        check(h * Fraction(10) ** k, exact.scaleb(Decimal(h), k), digits)
+
+
+def test_exact_rational_prints_its_correctly_rounded_digits():
+    # an exact value is rounded once, from its own numerator and denominator
+    assert str(BigFloat(Fraction(7, 40), 2, 0)) == "0.18@2"
+    assert str(BigFloat(Fraction(1, 400), 1, 0)) == "0.003@1"
+    assert str(BigFloat(Fraction(-7, 40), 2, 0)) == "-0.18@2"
+    assert str(BigFloat(Fraction(1, 3), 5, 0)) == "0.33333@5"
+    assert str(BigFloat(Fraction(2, 3), 5, 0)) == "0.66667@5"
 
 
 def test_to_str_of_an_integer_part_past_the_str_limit():
@@ -514,41 +559,32 @@ def test_to_str_of_an_integer_part_past_the_str_limit():
     # from the exponent alone, leaving an integer part of about 117 870
     # digits, which its own to_str only prints with the limit on str lifted
     man = random.Random(24).getrandbits(391556) | 1 << 391555 | 1
-    got = fixedpoint.to_str(man, -268098, 10)
+    got = fixedpoint.to_str(man, 1 << 268098, 10)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = mp.nstr(BigFloat(man, -268098, 10, 0, 0).value, 10)
+        want = mp.nstr(BigFloat(Fraction(man, 1 << 268098), 10, 0).value, 10)
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want and got.endswith("e+37164"), (got, want)
 
 
-def test_bigfloat_from_rational_rounds_as_mpmath():
-    # mpf(numerator) rounds once, the division by the denominator once more
-    rng = random.Random(6)
-    for _ in range(400):
-        x = Fraction(rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1)), rng.randint(1, 10**rng.randint(1, 60)))
-        digits = rng.randint(1, 60)
-        got = numkernel.bigfloat_from_rational(x, digits)
-        with mp.workdps(digits + 15):
-            assert got.value == mp.mpf(x.numerator) / x.denominator, (x, digits)
-        assert got.within(x, Fraction(10) ** -(digits + 12) * abs(x)), (x, digits)
-
-
 def test_bigfloat_contract():
-    a = BigFloat(3, -1, 30, 1, -100)
-    b = BigFloat(12, -3, 30, 1 << 20, -120)
+    a = BigFloat(Fraction(3, 2), 30, Fraction(1, 2**100))
+    b = BigFloat(Fraction(12, 8), 30, Fraction(1 << 20, 2**120))
     assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1.5@30"
-    assert float(b) == 1.5 and float(BigFloat(-3, 200, 5, 0, 0)) == -3 * 2.0**200
+    assert float(b) == 1.5 and float(BigFloat(-3 * 2**200, 5, 0)) == -3 * 2.0**200
     big = (1 << 3000) + 1
-    assert [float(BigFloat(m, e, 5, 0, 0)) for m, e in ((-3, 5000), (big, -10), (big, -2000))] == [
+    assert [float(BigFloat(x, 5, 0)) for x in (-3 * 2**5000, Fraction(big, 2**10), Fraction(big, 2**2000))] == [
         float(mp.mpf(-3) * 2**5000), float(mp.mpf(big) / 2**10), float(mp.mpf(big) / 2**2000)]
     assert b.within(Fraction(3, 2), 0) and not b.within(Fraction(3, 2) + Fraction(1, 10**40), 0)
     assert b.value == 1.5 and b.eps == mp.mpf(2) ** -100
     with pytest.raises(AttributeError):
         b.value = b.value
-    assert a != BigFloat(12, -3, 31, 1 << 20, -120)
+    assert a != BigFloat(Fraction(3, 2), 31, Fraction(1, 2**100))
+    # the view of a non-dyadic value is rounded to nearest
+    with mp.workdps(40):
+        assert BigFloat(Fraction(1, 7), 30, 0).value == mp.mpf(1) / 7
 
 
 def test_hurwitz_sum_is_thread_safe():

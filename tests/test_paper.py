@@ -23,7 +23,7 @@ from seifinv.eta import (
     serre_dual_coupling,
     series_rows,
 )
-from seifinv.numkernel import bigfloat_from_rational
+from seifinv.numkernel import BigFloat
 from seifinv.orbifold import Orbifold, VLineBundle, scale_bundle
 from seifinv.seifert import SeifertData, brieskorn, defining_bundle
 
@@ -86,4 +86,4 @@ def test_eta_vanishes_at_negative_odd_integers():
     for N, L in _corpus(73, 12):
         for ctx in (pullback_context(N, L), flat_context(N, L)):
             for n in (1, 3, 5, 7, 9):
-                assert eta_series(ctx, -n, 20) == bigfloat_from_rational(0, 20), (N, L, n)
+                assert eta_series(ctx, -n, 20) == BigFloat(0, 20, 0), (N, L, n)

@@ -23,7 +23,7 @@ TRIVIAL = "VLineBundle(base=Orbifold(genus=0, alphas=(2, 3, 5)), smooth_degree=0
 # makes new field objects, so equality is by value, not by identity
 RECORDS = [
     (
-        lambda: BigFloat(3, -1, 30, 0, 0),
+        lambda: BigFloat(Fraction(3, 2), 30, 0),
         ("digits",),
         "BigFloat(value=mpf('1.5'), digits=30, eps=mpf('0.0'))",
     ),
@@ -86,7 +86,7 @@ def test_records_differ_by_field():
     assert Orbifold(0, (2, 3, 5)) != Orbifold(1, (2, 3, 5))
     assert DeltaPoint(1, 2, 3) != DeltaPoint(1, 2, 4)
     assert IntegerQuadraticForm([[-1]]) != IntegerQuadraticForm([[-2]])
-    assert BigFloat(1, 0, 30, 0, 0) != BigFloat(1, 0, 31, 0, 0)
+    assert BigFloat(1, 30, 0) != BigFloat(1, 31, 0)
 
 
 def test_delta_points_sort_lexicographically():

@@ -51,3 +51,20 @@ def test_dense_matrix_is_read_only_where_printed(path):
     reads = _attribute_reads(tree, "matrix")
     stray = [(scope, line) for scope, line in reads if (path.name, scope) not in MATRIX_READERS]
     assert not stray, f"{path.name}: .matrix read at {stray}"
+
+
+#: The only functions that may read a BigFloat's mpmath views `.value` and
+#: `.eps`: the verify oracle and the repr.  Production works on the exact
+#: rationals behind them.
+MPMATH_VIEW_READERS = {
+    ("cli.py", "_series_matches_per_key_sum"),
+    ("numkernel.py", "BigFloat.__repr__"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_mpmath_views_are_read_only_by_oracles(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = _attribute_reads(tree, "value") + _attribute_reads(tree, "eps")
+    stray = [(scope, line) for scope, line in reads if (path.name, scope) not in MPMATH_VIEW_READERS]
+    assert not stray, f"{path.name}: .value or .eps read at {stray}"
