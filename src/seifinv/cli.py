@@ -532,6 +532,11 @@ def _verify_froyshov_table() -> Optional[str]:
     return None
 
 
+#: Largest `verify families --k-max`: the weight box of Sigma(2,3,6k+1)
+#: stays within swfloer.MAX_BOX_POINTS up to k = 277777.
+FAMILIES_K_LIMIT = (swf.MAX_BOX_POINTS // 6 - 1) // 6
+
+
 def _verify_families(k_max: int) -> Optional[str]:
     for k in range(1, k_max + 1):
         # Sigma(2, 3, 6k+1): P = j T^-1 (k = 2j-1) or j T (k = 2j); Z = 0
@@ -601,6 +606,11 @@ def _cmd_verify(args, parser) -> int:
     for flag, value in (("--cases", args.cases), ("--k-max", args.k_max)):
         if value < 1:
             parser.error(f"{flag} {value}: must be >= 1")
+    if args.k_max > FAMILIES_K_LIMIT:
+        parser.error(
+            f"--k-max {args.k_max}: must be <= {FAMILIES_K_LIMIT}, the largest k for which "
+            f"Sigma(2,3,6k+1) has abc <= {swf.MAX_BOX_POINTS}"
+        )
     seed, cases, k_max = args.seed, args.cases, args.k_max
     eta_cases = min(cases, 50)
     # suite -> (check, what it checked)

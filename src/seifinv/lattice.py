@@ -42,17 +42,20 @@ visiting coordinates in R's own order, the last one first.
 Splitting.  Write q = <-1>^k + R with R free of norm -1 vectors.  The
 norm -1 vectors of q are then exactly +-e_1, ..., +-e_k, pairwise
 orthogonal, so one exhaustive Fincke-Pohst enumeration of the vectors of
-norm -1 finds all k summands at once, and R is the common kernel of their
-k pairings, again unimodular, and empty when k = n.  Orthogonality is
-certified in O(kn): by Cauchy-Schwarz on the positive definite -q,
-|q(v, w)| <= 1 for vectors of norm -1, with equality only at w = +-v, so
-representatives that each have norm -1 and are pairwise distinct up to
-sign are pairwise orthogonal.  The split is computed once per form and
-cached on it.  The residual of a plumbing form may be empty, even or odd:
-Sigma(2,3,7) splits completely, Sigma(2,7,13) leaves an even residual of
-rank 16 and Sigma(3,5,7) an odd one of rank 12.  A residual -E8, as for
-Sigma(2,3,5), is recognized by its invariants (rank 8, even, unimodular,
-negative definite).
+norm -1 finds all k summands at once.  Orthogonality is certified in
+O(kn): by Cauchy-Schwarz on the positive definite -q, |q(v, w)| <= 1 for
+vectors of norm -1, with equality only at w = +-v, so representatives
+that each have norm -1 and are pairwise distinct up to sign are pairwise
+orthogonal.  R, again unimodular and empty when k = n, comes from k
+blowdowns on a working copy of the sparse rows: each splits one <v> off
+by the unimodular base change that ends in v^perp, and moves the vectors
+still to be blown down into the new coordinates, all over the supports
+of v and q v rather than over all n coordinates.  The split is computed
+once per form and cached on it.  The residual of a plumbing form may be
+empty, even or odd: Sigma(2,3,7) splits completely, Sigma(2,7,13) leaves
+an even residual of rank 16 and Sigma(3,5,7) an odd one of rank 12.  A
+residual -E8, as for Sigma(2,3,5), is recognized by its invariants (rank
+8, even, unimodular, negative definite).
 """
 
 from __future__ import annotations
@@ -70,9 +73,10 @@ from seifinv.seifert import brieskorn
 Matrix = Tuple[Tuple[int, ...], ...]
 
 #: Largest plumbing rank n whose intersection form is built; larger ones
-#: are refused with ValueError.  The form and its LDL hold O(n) entries;
-#: what grows with n^2 is the dense view `--matrix` prints (at most 4 * 10^6
-#: cells) and the basis the <-1> split reduces.  Sigma(2,3,c) has rank ~c/6.
+#: are refused with ValueError, the rank read off the continued fractions
+#: before any arm is expanded.  The form, its LDL and the <-1> split work on
+#: sparse rows; only the dense view `--matrix` prints grows with n^2 (at
+#: most 4 * 10^6 cells).  Sigma(2,3,c) has rank ~c/6.
 MAX_PLUMBING_RANK = 2000
 
 
@@ -193,6 +197,18 @@ def hj_expand(alpha: int, beta: int) -> List[int]:
     return out
 
 
+def _hj_length(alpha: int, beta: int) -> int:
+    """len(hj_expand(alpha, beta)) in O(log alpha), from the regular
+    continued fraction alpha/beta = [c_0; c_1, c_2, ...]: one entry per
+    even-indexed quotient plus c_i - 1 entries per odd-indexed one."""
+    length, odd = 0, False
+    while beta:
+        c, (alpha, beta) = alpha // beta, (beta, alpha % beta)
+        length += c - 1 if odd else 1
+        odd = not odd
+    return length
+
+
 def plumbing_graph(a: int, b: int, c: int) -> PlumbingGraph:
     """Plumbing tree bounding the Brieskorn sphere: center carries the
     Seifert smooth degree, arm i the negated continued fraction of
@@ -208,14 +224,15 @@ def plumbing_graph(a: int, b: int, c: int) -> PlumbingGraph:
 def plumbing_form(a: int, b: int, c: int) -> IntegerQuadraticForm:
     """Intersection form of the Hirzebruch-Jung plumbing; negative
     definite and unimodular.  Ranks above MAX_PLUMBING_RANK are refused
-    with ValueError before any matrix is built."""
-    graph = plumbing_graph(a, b, c)
-    if graph.rank > MAX_PLUMBING_RANK:
+    with ValueError before any arm is expanded."""
+    N = brieskorn(a, b, c)
+    rank = 1 + sum(map(_hj_length, N.alphas, N.betas))
+    if rank > MAX_PLUMBING_RANK:
         raise ValueError(
-            f"plumbing rank {graph.rank} exceeds {MAX_PLUMBING_RANK}: the "
+            f"plumbing rank {rank} exceeds {MAX_PLUMBING_RANK}: the "
             f"intersection form of ({a},{b},{c}) is too large to build"
         )
-    q = graph.intersection_form()
+    q = plumbing_graph(a, b, c).intersection_form()
     if not q.is_negative_definite():
         raise InvariantError(f"plumbing form of ({a},{b},{c}) not negative definite")
     if not q.is_unimodular():
@@ -393,7 +410,7 @@ def _theta_search(q: IntegerQuadraticForm) -> int:
     d, u = q._negated_ldl()
     parity = _characteristic_vector(q)
     # the characteristic vector xi0 = parity gives the initial bound -q(xi0)
-    start = Fraction(-_dot(parity, _times(q.rows, parity)))
+    start = Fraction(-_norm(q.rows, parity))
     norm, _ = _min_norm_search(d, u, parity, start)
     if norm is None or norm.denominator != 1:
         raise InvariantError(f"characteristic minimum {norm} is not an integer")
@@ -442,38 +459,64 @@ def _norm_one_vectors(q: IntegerQuadraticForm) -> List[List[int]]:
     return found
 
 
-def _kernel_basis_of_functional(c: List[int], cols: List[List[int]]) -> List[List[int]]:
-    """Basis of {sum_j y_j cols[j] : sum_j c_j y_j = 0} for a primitive
-    integer covector c (gcd of entries 1), via unimodular column
-    reduction."""
-    n = len(c)
-    work = list(c)
-    cols = list(cols)
-    while True:
-        nz = [j for j in range(n) if work[j] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda j: abs(work[j]))
-        i0, j0 = nz[0], nz[1]
-        f = work[j0] // work[i0]
-        work[j0] -= f * work[i0]
-        cols[j0] = [a - f * b for a, b in zip(cols[j0], cols[i0])]
-    pivot = next(j for j in range(n) if work[j] != 0)
-    if abs(work[pivot]) != 1:
-        raise InvariantError(f"covector {c} must be primitive")
-    return [cols[j] for j in range(n) if j != pivot]
+def _norm(rows: Sequence[Mapping[int, int]], v: Sequence[int]) -> int:
+    """q(v, v), summed over the rows at which v is nonzero."""
+    return sum(t * sum(x * v[j] for j, x in rows[i].items()) for i, t in enumerate(v) if t)
 
 
-def _dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(v, w))
+def _add_multiple(w: Dict[int, int], f: int, v: Mapping[int, int]) -> None:
+    """w += f v on sparse vectors, which keep no zeros."""
+    for j, t in v.items():
+        x = w.get(j, 0) + f * t
+        if x:
+            w[j] = x
+        else:
+            w.pop(j, None)
 
 
-def _times(rows: Sequence[Mapping[int, int]], v: Sequence[int]) -> List[int]:
-    return [sum(x * v[j] for j, x in row.items()) for row in rows]
+def _blow_down(
+    rows: Dict[int, Dict[int, int]], v: Dict[int, int], vectors: List[Dict[int, int]]
+) -> None:
+    """Split <v> off the working sparse rows in place, for v of norm -1
+    given by its nonzero coordinates, and move each vector of `vectors`,
+    all orthogonal to v, into the coordinates of the complement.
 
-
-def _identity(n: int) -> List[List[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    With v_i0 = +-1, the vectors e_i + q(e_i, v) v, i != i0, are a basis of
+    v's orthogonal complement with Gram matrix q_ij + q(e_i, v) q(e_j, v),
+    in which w in v^perp has the coordinates w - w_i0 v_i0 v.  A v without
+    a unit coordinate first gets one by Euclid on its coordinates, each
+    step a base change e_i <- e_i + f e_j of the rows and of every vector.
+    Neither step runs over all n coordinates."""
+    while all(abs(t) != 1 for t in v.values()):
+        i, j = sorted(v, key=lambda t: abs(v[t]))[:2]
+        f = v[j] // v[i]
+        # row and column i gain f times row and column j
+        row = rows[i]
+        diagonal = row[i] + 2 * f * rows[j].get(i, 0) + f * f * rows[j][j]
+        _add_multiple(row, f, rows[j])
+        row[i] = diagonal
+        for k in list(rows[j]):
+            if k in row:
+                rows[k][i] = row[k]
+            else:
+                rows[k].pop(i, None)
+        # and coordinate j of every vector loses f times coordinate i
+        for w in (v, *vectors):
+            if i in w:
+                _add_multiple(w, -f * w[i], {j: 1})
+    i0 = next(i for i, t in v.items() if abs(t) == 1)
+    pairing: Dict[int, int] = {}
+    for j, t in v.items():
+        _add_multiple(pairing, t, rows[j])
+    for k in rows.pop(i0):
+        if k != i0:
+            del rows[k][i0]
+    pairing.pop(i0, None)
+    for i, a in pairing.items():
+        _add_multiple(rows[i], a, pairing)
+    for w in vectors:
+        if i0 in w:
+            _add_multiple(w, -w[i0] * v[i0], v)
 
 
 def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]]:
@@ -487,22 +530,23 @@ def _split(q: IntegerQuadraticForm) -> Tuple[int, Optional[IntegerQuadraticForm]
         raise InvariantError(f"{len(found)} norm -1 vectors: they must come in +- pairs")
     # one representative per pair: first nonzero coordinate positive
     reps = [v for v in found if next(t for t in v if t) > 0]
-    # the k sparse products q v give every pairing below in O(n) each
-    pairings = [_times(q.rows, v) for v in reps]
     # by Cauchy-Schwarz on -q, distinct representatives of norm -1 are
     # pairwise orthogonal
-    if any(_dot(p, v) != -1 for p, v in zip(pairings, reps)):
+    if any(_norm(q.rows, v) != -1 for v in reps):
         raise InvariantError("norm -1 representatives must have norm -1")
     if len(set(map(tuple, reps))) < len(reps):
         raise InvariantError("norm -1 representatives must be distinct, hence pairwise orthogonal")
     residual = None
     # k = n orthogonal norm -1 vectors span a unimodular sublattice of full rank: all of q
     if len(reps) < n:
-        basis = _identity(n)
-        for p in pairings:
-            basis = _kernel_basis_of_functional([_dot(p, b) for b in basis], basis)
-        qb = [_times(q.rows, b) for b in basis]
-        residual = IntegerQuadraticForm([[_dot(b, c) for c in qb] for b in basis])
+        rows = {i: dict(row) for i, row in enumerate(q.rows)}
+        pending = [{i: t for i, t in enumerate(v) if t} for v in reps]
+        while pending:
+            _blow_down(rows, pending.pop(0), pending)
+        index = {i: r for r, i in enumerate(rows)}
+        residual = IntegerQuadraticForm(
+            [{index[j]: x for j, x in row.items()} for row in rows.values()]
+        )
         if not (residual.is_negative_definite() and residual.is_unimodular()):
             raise InvariantError(
                 "the complement of the <-1> summands must be negative definite and unimodular"

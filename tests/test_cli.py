@@ -5,13 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from seifinv import dedekind, lattice, swfloer
+from seifinv import cli, dedekind, lattice, swfloer
 from seifinv import eta as eta_mod
 from seifinv.cli import PLUMBING_237, main
 from seifinv.numkernel import BigFloat
@@ -393,6 +394,26 @@ def test_verify_refuses_to_check_nothing(capsys, argv):
     assert captured.err.splitlines()[-1] == f"seifinv: error: {argv[1]} {argv[2]}: must be >= 1"
 
 
+def test_verify_families_refuses_k_past_the_weight_box(capsys, monkeypatch):
+    # Sigma(2,3,6k+1) has abc > swfloer.MAX_BOX_POINTS from k = 277778 on,
+    # so such a --k-max is refused before any triple is computed
+    def reached(k_max):
+        raise AssertionError("families suite reached")
+
+    monkeypatch.setattr(cli, "_verify_families", reached)
+    assert 6 * (6 * 277777 + 1) <= swfloer.MAX_BOX_POINTS < 6 * (6 * 277778 + 1)
+    for k_max in (277778, 10**9):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "families", "--k-max", str(k_max)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"seifinv: error: --k-max {k_max}: must be <= 277777, the largest k for which "
+            "Sigma(2,3,6k+1) has abc <= 10000000"
+        )
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
@@ -434,6 +455,24 @@ def test_oversized_plumbing_exit_2():
     assert proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if line.startswith("seifinv: error:")]
     assert len(errors) == 1 and "rank 16674 exceeds" in errors[0]
+
+
+def test_oversized_plumbing_refused_from_its_rank_alone():
+    # rank 16666666675: the arms' continued fractions alone would hold that
+    # many weights, so the rank is read off the regular continued fractions
+    # and the refusal costs no more than start-up
+    start = time.perf_counter()
+    assert _python("-m", "seifinv.cli", "--help").returncode == 0
+    startup = time.perf_counter() - start
+    start = time.perf_counter()
+    proc = _python("-m", "seifinv.cli", "plumbing", "--brieskorn", "2,3,100000000007")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "seifinv: error: --brieskorn '2,3,100000000007': plumbing rank 16666666675 exceeds "
+        "2000: the intersection form of (2,3,100000000007) is too large to build"
+    )
+    assert elapsed < startup + 0.5, (elapsed, startup)
 
 
 def test_oversized_eta_series_exit_2():

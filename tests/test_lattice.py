@@ -14,9 +14,8 @@ from seifinv import lattice
 from seifinv.cli import PLUMBING_237, main
 from seifinv.lattice import (
     IntegerQuadraticForm,
-    _identity,
     _characteristic_vector,
-    _kernel_basis_of_functional,
+    _hj_length,
     _ldl,
     _min_norm_search,
     _norm_one_vectors,
@@ -63,6 +62,18 @@ def test_hj_reconstructs_fraction():
         for e in reversed(es[:-1]):
             value = e - 1 / value
         assert value == Fraction(alpha, beta)
+
+
+def test_hj_length_from_regular_continued_fraction():
+    rng = random.Random(19)
+    pairs = [(7, 1), (13, 2), (5, 4), (2, 1)]
+    while len(pairs) < 2000:
+        alpha = rng.randint(2, 10**6)
+        beta = rng.randrange(1, alpha)
+        if gcd(alpha, beta) == 1:
+            pairs.append((alpha, beta))
+    for alpha, beta in pairs:
+        assert _hj_length(alpha, beta) == len(hj_expand(alpha, beta)), (alpha, beta)
 
 
 def test_hj_validation():
@@ -410,7 +421,7 @@ def test_characteristic_vector_solves_parity():
     for q in forms:
         x = _characteristic_vector(q)
         assert set(x) <= {0, 1}
-        qx = lattice._times(q.rows, x)
+        qx = [sum(t * x[j] for j, t in row.items()) for row in q.rows]
         assert all((qx[i] - q.matrix[i][i]) % 2 == 0 for i in range(q.rank))
 
 
@@ -440,23 +451,48 @@ def test_theta_through_split_matches_full_rank_search():
         assert theta_invariant(q) == _theta_search(q) == _theta_search(base)
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _kernel_basis_of_functional(c, cols):
+    """Basis of {sum_j y_j cols[j] : sum_j c_j y_j = 0} for a primitive
+    integer covector c (gcd of entries 1), via unimodular column
+    reduction."""
+    n = len(c)
+    work = list(c)
+    cols = list(cols)
+    while True:
+        nz = [j for j in range(n) if work[j] != 0]
+        if len(nz) <= 1:
+            break
+        nz.sort(key=lambda j: abs(work[j]))
+        i0, j0 = nz[0], nz[1]
+        f = work[j0] // work[i0]
+        work[j0] -= f * work[i0]
+        cols[j0] = [a - f * b for a, b in zip(cols[j0], cols[i0])]
+    pivot = next(j for j in range(n) if work[j] != 0)
+    if abs(work[pivot]) != 1:
+        raise InvariantError(f"covector {c} must be primitive")
+    return [cols[j] for j in range(n) if j != pivot]
+
+
 def _split_one_round_at_a_time(q):
     """The <-1> split as one single norm-1 search per summand, each on the
-    complement of the vector found before; returns (rounds, residual)."""
+    dense kernel basis of the pairing with the vector found before;
+    returns (rounds, residual)."""
     rounds = 0
     while q.rank:
         d, u = q._negated_ldl()
         norm, v = _min_norm_search(d, u, None, Fraction(1), skip_zero=True)
         if norm != 1:
             break
-        n = q.rank
-        pairing = [sum(q.matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
+        n, m = q.rank, q.matrix
+        pairing = [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
         basis = _kernel_basis_of_functional(pairing, _identity(n))
-        gram = [
-            [sum(a[r] * q.matrix[r][s] * b[s] for r in range(n) for s in range(n)) for b in basis]
-            for a in basis
-        ]
-        q = IntegerQuadraticForm(tuple(tuple(row) for row in gram))
+        mb = [[sum(m[r][s] * b[s] for s in range(n)) for r in range(n)] for b in basis]
+        gram = [[sum(x * y for x, y in zip(a, c)) for c in mb] for a in basis]
+        q = IntegerQuadraticForm(gram)
         rounds += 1
     return rounds, q
 
@@ -474,6 +510,51 @@ def test_split_from_one_enumeration_matches_rounds():
             assert _split_one_round_at_a_time(residual)[0] == 0  # no norm -1 vector
             assert q.determinant == (-1) ** diag_rank * residual.determinant
             assert is_even(residual) == is_even(oracle_residual)
+
+
+def _split_summary(k, residual, theta):
+    """(k, rk R, R even, R is -E8, Theta), an empty R given as None or as
+    a form of rank 0."""
+    if residual is None or residual.rank == 0:
+        return k, 0, True, False, theta
+    return k, residual.rank, is_even(residual), is_minus_e8(residual), theta
+
+
+def test_split_by_blowdowns_matches_one_round_oracle():
+    # the production split against the dense kernel-basis rounds, with
+    # Theta of the oracle's residual from the full characteristic search
+    triples = random.Random(53).sample(_coprime_triples_rank_at_most_20(), 100)
+    forms = [plumbing_form(*t) for t in triples]
+    for seed in range(3):
+        forms += [q for _, q in _oracle_conjugates(random.Random(seed))]
+    kinds = set()
+    for q in forms:
+        rounds, oracle_residual = _split_one_round_at_a_time(q)
+        oracle = _split_summary(rounds, oracle_residual, _theta_search(oracle_residual))
+        assert _split_summary(*hnk_split_diagonalize(q), theta_invariant(q)) == oracle
+        kinds.add(oracle[1:3])
+    assert {(0, True), (8, True), (12, False)} <= kinds
+
+
+def test_split_outside_the_enumeration_fast(monkeypatch):
+    # Sigma(2,3,1799), rank 307: 299 blowdowns and a -E8 residual.  Built
+    # from a dense kernel basis, this took 0.6-1.3 s on 2 CPUs
+    spent = []
+    enumerate_vectors = lattice._norm_one_vectors
+
+    def timed(q):
+        start = time.perf_counter()
+        found = enumerate_vectors(q)
+        spent.append(time.perf_counter() - start)
+        return found
+
+    monkeypatch.setattr(lattice, "_norm_one_vectors", timed)
+    q = plumbing_form(2, 3, 1799)
+    start = time.perf_counter()
+    k, residual = hnk_split_diagonalize(q)
+    elapsed = time.perf_counter() - start - sum(spent)
+    assert (q.rank, k) == (307, 299) and is_minus_e8(residual)
+    assert elapsed < 0.5, elapsed
 
 
 def test_plumbing_theta_diagonalize_rank_39_fast(capsys):
@@ -564,34 +645,68 @@ def test_split_refuses_representative_of_wrong_norm(monkeypatch):
 
 def test_complete_split_makes_no_kernel_step(monkeypatch):
     # at k = n the residual is empty by rank
-    def refuse(c, cols):
-        raise AssertionError("kernel step in a complete split")
+    def refuse(rows, v, vectors):
+        raise AssertionError("blowdown in a complete split")
 
-    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", refuse)
+    monkeypatch.setattr(lattice, "_blow_down", refuse)
     for c in (97, 1801):
         q = plumbing_form(2, 3, c)
         assert hnk_split_diagonalize(q) == (q.rank, None), c
 
 
 def test_split_refuses_non_unimodular_residual(monkeypatch):
-    kernel = lattice._kernel_basis_of_functional
+    blow_down = lattice._blow_down
 
-    def doubled(c, cols):
-        basis = kernel(c, cols)
-        return [[2 * x for x in basis[0]]] + basis[1:]
+    def doubled(rows, v, vectors):
+        # replace the first basis vector of the complement by twice itself:
+        # an index-2 sublattice, of determinant 4
+        blow_down(rows, v, vectors)
+        first = next(iter(rows))
+        for k in rows[first]:
+            if k != first:
+                rows[first][k] *= 2
+                rows[k][first] *= 2
+        rows[first][first] *= 4
 
-    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", doubled)
+    monkeypatch.setattr(lattice, "_blow_down", doubled)
     with pytest.raises(InvariantError, match="unimodular"):
         hnk_split_diagonalize(direct_sum(diagonal_form([-1]), minus_e8()))
 
 
 def test_split_refuses_singular_residual(monkeypatch):
-    kernel = lattice._kernel_basis_of_functional
+    blow_down = lattice._blow_down
 
-    def repeated(c, cols):
-        basis = kernel(c, cols)
-        return basis[:-1] + [basis[0]]
+    def repeated(rows, v, vectors):
+        # replace the last basis vector of the complement by the first
+        blow_down(rows, v, vectors)
+        first, *_, last = rows
+        for k in rows.pop(last):
+            if k != last:
+                del rows[k][last]
+        rows[last] = {**rows[first], last: rows[first][first]}
+        for k, x in rows[last].items():
+            rows[k][last] = x
 
-    monkeypatch.setattr(lattice, "_kernel_basis_of_functional", repeated)
+    monkeypatch.setattr(lattice, "_blow_down", repeated)
     with pytest.raises(InvariantError, match="negative definite"):
         hnk_split_diagonalize(direct_sum(diagonal_form([-1]), minus_e8()))
+
+
+def test_blow_down_gives_a_norm_one_vector_a_unit_coordinate(monkeypatch):
+    # <-1> + -E8 in the basis f_0 = e_0 - 2 e_1, f_1 = -e_0 + 3 e_1, in
+    # which the one norm -1 vector pair is +-(3, 2, 0, ..., 0): no
+    # coordinate is +-1 until Euclid on (3, 2) makes one
+    u = _identity(9)
+    u[0][0], u[1][0], u[0][1], u[1][1] = 1, -2, -1, 3
+    q = _conjugate(direct_sum(diagonal_form([-1]), minus_e8()), u)
+    met, blow_down = [], lattice._blow_down
+
+    def recorded(rows, v, vectors):
+        met.append(dict(v))
+        blow_down(rows, v, vectors)
+
+    monkeypatch.setattr(lattice, "_blow_down", recorded)
+    k, residual = hnk_split_diagonalize(q)
+    assert met == [{0: 3, 1: 2}]
+    assert k == 1 and is_minus_e8(residual)
+    assert theta_invariant(q) == 8
